@@ -12,7 +12,12 @@ lower bound that equals the true rank with Schwartz-Zippel confidence.
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
 kernel of the stacked commutator maps is the degree slice of the
-center.  ``kw1_verdict`` ties everything together.
+center.  One solve at the bound D serves both slices it needs: its
+canonical basis is in reduced echelon form over monomials in
+reverse-deglex order, so the elements of degree <= D-1 are exactly the
+canonical basis of the D-1 slice.  It also returns the rank over the
+p-center at D, with its specialization field, so ``kw1_verdict`` ranks
+the center once.
 """
 
 from __future__ import annotations
@@ -27,11 +32,12 @@ from . import linalg
 from .errors import (
     CentralityFailure,
     DegreeBoundTooLargeForMemory,
+    SelfCheckFailure,
     StabilizationNotReached,
     WeightMismatch,
     ZeroElement,
 )
-from .fields import galois_field, prime_field, render_poly_modp
+from .fields import GF, galois_field, prime_field, render_poly_modp
 from .liealg import ModularLieAlgebra, index_generic
 from .pbw import (
     SymPoly,
@@ -86,9 +92,10 @@ def p_center_generators(alg: ModularLieAlgebra) -> PCenterGenerators:
             if not pbw_bracket(ue_gen(alg, j), xi).is_zero():
                 raise CentralityFailure(i, j)
         sym = principal_symbol(xi)
-        assert sym == SymPoly.monomial(
+        if sym != SymPoly.monomial(
             alg.field, n, tuple(alg.p if k == i else 0 for k in range(n))
-        )
+        ):
+            raise SelfCheckFailure(f"principal symbol of xi_{i} is not x_{i}^p")
     return PCenterGenerators(xi=tuple(gens))
 
 
@@ -188,11 +195,17 @@ def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
 
 @dataclass
 class CenterBasis:
-    """Canonical basis of the degree <= D slice of the center."""
+    """Canonical basis of the degree <= D slice of the center.
+
+    ``rank`` is the witnessed rank of the slice over the p-center and
+    ``spec_field`` the field it was specialized over.
+    """
 
     degree_bound: int
     elements: tuple
     stabilized: bool
+    rank: int
+    spec_field: GF
     _rank_cache: dict = dfield(default_factory=dict, repr=False, compare=False)
 
 
@@ -223,36 +236,43 @@ def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
     elements = []
     field = alg.field
     for row in reduced:
-        terms = {monos[k]: field.from_int(int(v)) for k, v in enumerate(row) if v}
+        terms = {monos[k]: field.from_int(int(row[k])) for k in np.flatnonzero(row)}
         if terms:
             elements.append(UEElement(alg, terms))
     # exact recheck after the solve: every basis vector really is central
     for el in elements:
         for i in range(n):
             if not pbw_bracket(gens[i], el).is_zero():
-                raise AssertionError(
+                raise SelfCheckFailure(
                     f"nullspace vector fails exact centrality at generator {i}"
                 )
     return elements
 
 
-def center_basis_bounded(alg: ModularLieAlgebra, bound: int, seed: int = 0) -> CenterBasis:
-    """Center slice of degree <= bound with a stabilization flag.
+def center_basis_bounded(
+    alg: ModularLieAlgebra, bound: int, seed: int = 0, min_extension: int = 1
+) -> CenterBasis:
+    """Center slice of degree <= bound with its rank and a stabilization flag.
 
-    ``stabilized`` is true when the rank over the p-center is unchanged
-    between bounds D-1 and D, the working signal that no new central
-    directions appear at the top degree.
+    The nullspace is solved once, at ``bound``; the D-1 slice is the
+    canonical basis elements of degree <= D-1 (see the module docstring).
+    The rank at D is specialized over a field of degree at least
+    ``min_extension``; the rank at D-1 over the smallest sufficient one.
+    ``stabilized`` is true when the two ranks agree, the working signal
+    that no new central directions appear at the top degree.
     """
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
     elements = _center_space(alg, bound)
-    prev_elements = _center_space(alg, bound - 1) if bound > 1 else [ue_one(alg)]
-    r_here = _rank_of_elements(alg, elements, seed)[0]
+    prev_elements = [el for el in elements if el.degree <= bound - 1]
+    r_here, field = _rank_of_elements(alg, elements, seed, min_extension)
     r_prev = _rank_of_elements(alg, prev_elements, seed)[0]
     cb = CenterBasis(
         degree_bound=bound,
         elements=tuple(elements),
         stabilized=(r_here == r_prev),
+        rank=r_here,
+        spec_field=field,
     )
     cb._rank_cache[seed] = r_here
     return cb
@@ -577,10 +597,10 @@ def kw1_verdict(
     p = alg.p
     bound = degree_bound if degree_bound is not None else default_degree_bound(alg)
     ind = index_generic(alg, trials=index_trials, seed=seed)
-    cb = center_basis_bounded(alg, bound, seed=seed)
-    r, spec_field = _rank_of_elements(alg, list(cb.elements), seed, min_extension)
-    cb._rank_cache[seed] = r
-    assert r <= p**ind, "rank exceeded p^ind: impossible for exact inputs"
+    cb = center_basis_bounded(alg, bound, seed=seed, min_extension=min_extension)
+    r, spec_field = cb.rank, cb.spec_field
+    if r > p**ind:
+        raise SelfCheckFailure(f"rank {r} exceeds p^ind = {p**ind}")
     m_lower = p ** ((n - ind) // 2)
     quotient = p**n // r if p**n % r == 0 else None
     notes = [

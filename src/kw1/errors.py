@@ -54,6 +54,10 @@ class CentralityFailure(KW1Error):
         super().__init__(f"[x_{j}, xi_{i}] != 0: invalid p-map table")
 
 
+class SelfCheckFailure(KW1Error):
+    """An exact mathematical self-check failed: a bug, not a bad input."""
+
+
 class WeightMismatch(KW1Error):
     """Numerator and denominator are not semi-invariant of equal weight."""
 

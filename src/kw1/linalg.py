@@ -5,9 +5,10 @@ Three backends share one interface:
 * rationals: plain Fraction elimination (small matrices only);
 * prime fields: numpy int64 matrices reduced mod p, with vectorized
   row operations (this is the hot path for center computations);
-* extensions: elementwise FFElem elimination, plus a rank routine that
-  embeds F_{p^e} entries as e x e multiplication matrices over F_p and
-  reuses the vectorized path, which is much faster for large matrices.
+* extensions: every rank goes through one vectorized kernel that embeds
+  each F_{p^e} entry as its e x e multiplication matrix over F_p and
+  eliminates the blown-up matrix in place.  Nullspaces and solves over
+  extensions use elementwise FFElem elimination.
 
 All results are exact; there is no floating point.
 """
@@ -18,9 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import SelfCheckFailure
 from .fields import GF, FFElem, QQ
-
-_BLOCK_RANK_THRESHOLD = 2000  # entry count above which extension ranks go blocked
 
 
 # ---------------------------------------------------------------------------
@@ -45,48 +45,61 @@ def to_modp_array(rows, p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def rref_modp(a: np.ndarray, p: int):
-    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
-    m = a.copy() % p
+def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> list:
+    """Gaussian elimination mod p of ``m`` in place; returns the pivot columns.
+
+    ``m`` must already be reduced mod p.  With ``reduce_above`` it ends in
+    reduced row echelon form; without, rows above a pivot are left alone,
+    which is enough for the rank.  When column c is processed, every row at
+    or below the current pivot row is zero left of c, so each row operation
+    touches only columns c and beyond.
+    """
     rows, cols = m.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        block = m[r:, c]
-        nz = np.nonzero(block)[0]
+        nz = m[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pr = r + int(nz[0])
         if pr != r:
-            m[[r, pr]] = m[[pr, r]]
+            m[[r, pr], c:] = m[[pr, r], c:]
         inv = pow(int(m[r, c]), -1, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
+        m[r, c:] = (m[r, c:] * inv) % p
+        # rows to clear: every other row for the reduced form, those below for rank
+        lo = 0 if reduce_above else r + 1
+        col = m[lo:, c].copy()
+        if reduce_above:
+            col[r] = 0
+        nzr = col.nonzero()[0]
         if nzr.size:
-            m[nzr] = (m[nzr] - np.outer(col[nzr], m[r])) % p
+            m[lo + nzr, c:] = (m[lo + nzr, c:] - np.outer(col[nzr], m[r, c:])) % p
         pivots.append(c)
         r += 1
-    return m, pivots
+    return pivots
+
+
+def rref_modp(a: np.ndarray, p: int):
+    """Reduced row echelon form mod p; returns (matrix, pivot columns)."""
+    m = a % p
+    return m, _eliminate(m, p, reduce_above=True)
 
 
 def rank_modp(a: np.ndarray, p: int) -> int:
-    return len(rref_modp(a, p)[1])
+    return len(_eliminate(a % p, p, reduce_above=False))
 
 
 def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     """Right nullspace basis, one vector per row."""
-    rows, cols = a.shape
+    cols = a.shape[1]
     r, pivots = rref_modp(a, p)
-    free = [c for c in range(cols) if c not in set(pivots)]
+    pivset = set(pivots)
+    free = [c for c in range(cols) if c not in pivset]
     basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[i, c])) % p
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
 
 
@@ -171,23 +184,39 @@ def solve_ff(rows, b, field: GF):
     return x
 
 
-def rank_ext_blocked(rows, field: GF) -> int:
-    """Rank over F_{p^e} via the regular representation over F_p.
+def blocked_matrix(rows, field: GF) -> np.ndarray:
+    """F_p form of a matrix over F_{p^e}, by the regular representation.
 
-    Each entry a becomes the e x e matrix of multiplication by a; the
-    F_p-rank of the blown-up matrix is e times the F_{p^e}-rank.
+    Entry a becomes the e x e block of multiplication by a, whose entry
+    [i][j] is coefficient i of a * t^j (as in ``GF.mul_matrix``).  Column j
+    of every block is written at once, straight into the final layout, from
+    the coefficient array of a * t^j: a shift folded through the reduction
+    table.
     """
-    if not rows:
+    p, e = field.p, field.e
+    cur = np.array([[x.coeffs for x in row] for row in rows], dtype=np.int64)
+    nrows, ncols = cur.shape[:2]
+    big = np.empty((nrows * e, ncols * e), dtype=np.int64)
+    # a view: blocks[r, i, c, j] is big[r * e + i, c * e + j]
+    blocks = big.reshape(nrows, e, ncols, e)
+    red = np.array(field._red[0], dtype=np.int64) if e > 1 else None  # t^e
+    for j in range(e):
+        if j:
+            top = cur[:, :, e - 1:]
+            cur = np.concatenate((np.zeros_like(top), cur[:, :, : e - 1]), axis=2)
+            cur = (cur + top * red) % p
+        blocks[:, :, :, j] = cur.transpose(0, 2, 1)
+    return big
+
+
+def rank_ext_blocked(rows, field: GF) -> int:
+    """Rank over F_{p^e}: the F_p-rank of ``blocked_matrix`` is e times it."""
+    if not rows or not rows[0]:
         return 0
     e = field.e
-    nrows, ncols = len(rows), len(rows[0])
-    big = np.zeros((nrows * e, ncols * e), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, a in enumerate(row):
-            if a:
-                big[i * e:(i + 1) * e, j * e:(j + 1) * e] = field.mul_matrix(a)
-    r = rank_modp(big, field.p)
-    assert r % e == 0
+    r = len(_eliminate(blocked_matrix(rows, field), field.p, reduce_above=False))
+    if r % e:
+        raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
     return r // e
 
 
@@ -230,9 +259,7 @@ def rank(rows, field) -> int:
         return rank_fractions(rows)
     if field.e == 1:
         return rank_modp(to_modp_array(rows, field.p), field.p)
-    if len(rows) * len(rows[0]) >= _BLOCK_RANK_THRESHOLD:
-        return rank_ext_blocked(rows, field)
-    return rank_ff(rows, field)
+    return rank_ext_blocked(rows, field)
 
 
 def nullspace(rows, field):

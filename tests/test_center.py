@@ -1,7 +1,10 @@
+import os
 import random
 
+import numpy as np
 import pytest
 
+from kw1 import center, linalg
 from kw1.center import (
     CenterBasis,
     center_basis_bounded,
@@ -13,7 +16,10 @@ from kw1.center import (
     zp_coordinates,
     zp_subalgebra_contains,
 )
-from kw1.errors import WeightMismatch
+from kw1.cli import _prepare, main
+from kw1.errors import SelfCheckFailure, WeightMismatch
+from kw1.fields import prime_field
+from kw1.registry import builtin_examples
 from kw1.pbw import SymPoly, pbw_bracket, ue_gen, ue_monomial, ue_one
 from kw1.util import monomials_upto
 
@@ -244,3 +250,87 @@ def test_rank_monotone_in_degree(make_algebra):
     assert ranks == sorted(ranks)
     assert all(r <= 3 for r in ranks)
     assert ranks[-1] == 3
+
+
+
+# report bytes written before the D and D-1 slices shared one center solve
+# and the D slice was ranked once
+REPORT_GOLDENS = [
+    ("report_abelian_2_p5_d1.json", "abelian:2", 5, ["--degree-bound", "1"]),
+    ("report_sl2_p5_d2.json", "sl2", 5, ["--degree-bound", "2"]),
+    ("report_abelian_2_p7_ext3.json", "abelian:2", 7, ["--ext", "3"]),
+    ("report_remark_1_2_p7_d18.json", "remark:1:2", 7, ["--degree-bound", "18"]),
+    ("report_gl2_p3_seed1.json", "gl2", 3, ["--seed", "1"]),
+]
+
+
+@pytest.mark.parametrize("fname,name,p,extra", REPORT_GOLDENS)
+def test_report_bytes_match_golden(tmp_path, fname, name, p, extra):
+    out = tmp_path / "report.json"
+    code = main(["check", "--example", name, "--primes", str(p), *extra, "--out", str(out)])
+    with open(os.path.join(os.path.dirname(__file__), "golden", fname), "rb") as fh:
+        want = fh.read()
+    assert out.read_bytes() == want
+    assert code == (0 if b'"verified"' in want else 2)
+
+
+def test_d_minus_1_slice_is_the_d_minus_1_center(monkeypatch):
+    """One solve at D gives, by degree, the canonical basis at D-1."""
+    ranked = []
+
+    def fake_rank(alg, elements, seed, min_ext=1):
+        ranked.append(list(elements))
+        return 0, prime_field(alg.p)
+
+    monkeypatch.setattr(center, "_rank_of_elements", fake_rank)
+    for name, pres in builtin_examples().items():
+        for p in (3, 5, 7):
+            if (name == "gl2" and p == 5) or (name == "abelian:4" and p >= 5):
+                continue
+            alg = _prepare(pres, p, None)
+            bound = center.default_degree_bound(alg)
+            ranked.clear()
+            cb = center_basis_bounded(alg, bound, seed=0)
+            assert ranked[0] == list(cb.elements)
+            assert ranked[1] == center._center_space(alg, bound - 1), (name, p)
+
+
+def test_verdict_solves_once_and_ranks_twice(make_algebra, monkeypatch):
+    calls = {"_center_space": 0, "_rank_of_elements": 0}
+    for fname in calls:
+        real = getattr(center, fname)
+
+        def counted(*args, _real=real, _name=fname, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(center, fname, counted)
+    rep = kw1_verdict(make_algebra("remark:1:2", 5), seed=0, min_extension=3)
+    assert rep.verdict == "verified" and rep.e == 3
+    assert calls == {"_center_space": 1, "_rank_of_elements": 2}
+
+
+def test_principal_symbol_self_check(make_algebra, monkeypatch):
+    monkeypatch.setattr(
+        center, "principal_symbol", lambda xi: SymPoly.zero(xi.ctx.field, xi.ctx.n)
+    )
+    with pytest.raises(SelfCheckFailure, match="principal symbol"):
+        p_center_generators(make_algebra("sl2", 3))
+
+
+def test_rank_above_p_ind_self_check(make_algebra, monkeypatch):
+    # abelian:2 has rank 9 at p = 3; a wrong index of 0 caps the rank at 1
+    monkeypatch.setattr(center, "index_generic", lambda alg, trials, seed: 0)
+    with pytest.raises(SelfCheckFailure, match="exceeds p\\^ind"):
+        kw1_verdict(make_algebra("abelian:2", 3), degree_bound=2)
+    assert main(["check", "--example", "abelian:2", "--primes", "3", "--degree-bound", "2"]) == 3
+
+
+def test_nullspace_centrality_self_check(make_algebra, monkeypatch):
+    # every monomial claimed central, but x is not in the Heisenberg algebra
+    monkeypatch.setattr(
+        linalg, "nullspace_modp", lambda a, p: np.eye(a.shape[1], dtype=np.int64)
+    )
+    with pytest.raises(SelfCheckFailure, match="exact centrality"):
+        center_basis_bounded(make_algebra("heisenberg", 3), 1)
+    assert main(["center", "--example", "heisenberg", "--prime", "3", "--degree-bound", "1"]) == 3

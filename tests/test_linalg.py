@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from kw1 import linalg
 from kw1.fields import galois_field, prime_field
@@ -11,7 +12,16 @@ def test_rref_modp_known():
     a = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
     r, pivots = linalg.rref_modp(a, 5)
     assert pivots == [0, 1]
+    assert r.tolist() == [[1, 0, 1], [0, 1, 1], [0, 0, 0]]
     assert linalg.rank_modp(a, 5) == 2
+    rng = random.Random(1)
+    for _ in range(20):
+        a = np.array([[rng.randrange(5) for _ in range(6)] for _ in range(5)], dtype=np.int64)
+        r, pivots = linalg.rref_modp(a, 5)
+        # pivot columns form an identity block; the rows past the rank vanish
+        assert np.array_equal(r[:, pivots], np.eye(5, len(pivots), dtype=np.int64))
+        assert not r[len(pivots):].any()
+        assert linalg.rank_modp(np.vstack([a, r]), 5) == len(pivots)
 
 
 def test_nullspace_modp_exact():
@@ -76,15 +86,83 @@ def test_extension_nullspace():
                 assert not acc
 
 
+def _ext_matrices(field, rng):
+    """Random matrices of many shapes, with rank deficits and degenerate cases."""
+    def rand(r, c):
+        return [[field.random(rng) for _ in range(c)] for _ in range(r)]
+
+    out = []
+    for _ in range(6):
+        out.append(rand(rng.randrange(1, 6), rng.randrange(1, 6)))
+    out.append(rand(9, 3))  # tall
+    out.append(rand(2, 9))  # wide
+    out.append(rand(1, 7))  # one row
+    out.append(rand(7, 1))  # one column
+    out.append([[field.zero] * 4 for _ in range(3)])  # all zero
+    dup = rand(3, 5)
+    out.append(dup + [list(dup[1]), list(dup[0])])  # duplicate rows
+    # rank <= 2 as a product of 6x2 and 2x5 matrices
+    left, right = rand(6, 2), rand(2, 5)
+    out.append([
+        [sum((left[i][k] * right[k][j] for k in range(2)), field.zero) for j in range(5)]
+        for i in range(6)
+    ])
+    return out
+
+
 def test_blocked_rank_agrees_with_generic():
     rng = random.Random(4)
-    for p, e in ((3, 2), (5, 3), (2, 4)):
+    for p, e in ((3, 2), (5, 3), (2, 4), (2, 5), (3, 5), (7, 2)):
         field = galois_field(p, e)
-        for _ in range(8):
-            rows = rng.randrange(1, 6)
-            cols = rng.randrange(1, 6)
-            a = [[field.random(rng) for _ in range(cols)] for _ in range(rows)]
-            assert linalg.rank_ext_blocked(a, field) == linalg.rank_ff(a, field)
+        for a in _ext_matrices(field, rng):
+            want = linalg.rank_ff(a, field)
+            assert linalg.rank_ext_blocked(a, field) == want
+            assert linalg.rank(a, field) == want
+
+
+def test_blocked_matrix_blocks_are_mul_matrices():
+    rng = random.Random(6)
+    for p, e in ((3, 2), (5, 3), (2, 4), (2, 5)):
+        field = galois_field(p, e)
+        for a in _ext_matrices(field, rng):
+            big = linalg.blocked_matrix(a, field)
+            assert big.shape == (len(a) * e, len(a[0]) * e)
+            for i, row in enumerate(a):
+                for j, x in enumerate(row):
+                    block = big[i * e:(i + 1) * e, j * e:(j + 1) * e]
+                    assert block.tolist() == field.mul_matrix(x)
+
+
+def test_blocked_rank_self_check(monkeypatch):
+    from kw1.errors import SelfCheckFailure
+
+    field = galois_field(3, 2)
+    monkeypatch.setattr(linalg, "_eliminate", lambda m, p, reduce_above: [0])
+    with pytest.raises(SelfCheckFailure, match="not a multiple of e"):
+        linalg.rank_ext_blocked([[field.one]], field)
+
+
+def test_nullspace_modp_matches_loop_reference():
+    rng = random.Random(8)
+    p = 5
+    cases = [np.zeros((2, 4), dtype=np.int64), np.eye(3, dtype=np.int64)]
+    for rows, cols in ((3, 6), (6, 3), (1, 1), (4, 4), (2, 7)):
+        cases.append(np.array(
+            [[rng.randrange(p) if rng.random() < 0.6 else 0 for _ in range(cols)]
+             for _ in range(rows)],
+            dtype=np.int64,
+        ))
+    for a in cases:
+        cols = a.shape[1]
+        r, pivots = linalg.rref_modp(a, p)
+        free = [c for c in range(cols) if c not in pivots]
+        want = np.zeros((len(free), cols), dtype=np.int64)
+        for k, c in enumerate(free):
+            want[k, c] = 1
+            for i, pc in enumerate(pivots):
+                want[k, pc] = (-int(r[i, c])) % p
+        got = linalg.nullspace_modp(a, p)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_fraction_rank():
