@@ -1,11 +1,13 @@
 """Reduced enveloping algebras and the module-splitting oracle.
 
 Builds u_chi(g) for a few characters, splits the regular representation
-into composition factors, and shows the escalation machinery on a case
-where factors are irreducible over F_p only because their endomorphism
-field is bigger: at p = 3 with chi(h) = 1 the eigenvalues of h satisfy
-the Artin-Schreier cubic t^3 - t - 1, so honest 3-dimensional simples
-only appear over F_27.
+into composition factors, and shows field escalation on a case where
+factors are irreducible over F_p only because their endomorphism field
+is bigger: at p = 3 with chi(h) = 1 the eigenvalues of h satisfy the
+Artin-Schreier cubic t^3 - t - 1, so honest 3-dimensional simples only
+appear over F_27.  The split never leaves F_3: each 9-dimensional
+F_3-factor has endomorphism field F_27 and is recorded as its three
+Galois twists of dimension 3, with working field F_27.
 """
 
 from kw1 import (

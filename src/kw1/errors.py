@@ -89,7 +89,7 @@ class DimensionCap(KW1Error):
 
 
 class SplitBudgetExceeded(KW1Error):
-    """Module splitting ran out of random-element or extension budget."""
+    """Module splitting ran out of its random-element budget."""
 
 
 class ParseError(KW1Error):

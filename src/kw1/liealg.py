@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import DenominatorDivisibleByP, NotRestrictable
+from .errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
 from .fields import GF, QQ, prime_field, galois_field
 from .util import derive_seed, sz_extension_degree
 
@@ -327,7 +327,8 @@ def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:
             raise NotRestrictable(-1, "user override fails ad(x^[p]) = (ad x)^p")
     else:
         rs = compute_p_map(alg)
-        assert verify_restricted(alg, rs)
+        if not verify_restricted(alg, rs):
+            raise SelfCheckFailure("computed p-map fails ad(x^[p]) = (ad x)^p")
     return ModularLieAlgebra(
         alg.name, alg.labels, alg.p, alg.constants, e=alg.e, restricted=rs
     )

@@ -285,11 +285,3 @@ def pfactor(f, field: GF, rng: random.Random):
         return (pdeg(poly), tuple(c.coeffs for c in poly))
     return sorted(found.items(), key=key)
 
-
-def proots(f, field: GF, rng: random.Random):
-    """Roots of f in the field, sorted by coefficient tuples."""
-    roots = []
-    for irr, _ in pfactor(f, field, rng):
-        if pdeg(irr) == 1:
-            roots.append(-irr[0])
-    return sorted(roots, key=lambda c: c.coeffs)

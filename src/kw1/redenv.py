@@ -12,11 +12,12 @@ an irreducible factor, and use the Norton dual test with a good factor
 (nullity equal to the factor degree) to certify irreducibility.  A
 certified factor can still be reducible after extending scalars; the
 endomorphism field degree s is detected from good-factor degrees (with
-a Burnside spin of the matrix algebra as the exact fallback) and the
-factor is re-split over F_{p^{e s}}, the minimal splitting field.
-Blind quadratic escalation cannot split factors with odd s, which do
-occur (Artin-Schreier weight polynomials), so the escalation target
-matters here.
+a Burnside spin of the matrix algebra as the exact fallback).  An
+irreducible F_q-module with End = F_{q^s} becomes s Galois twists of
+one absolutely irreducible module of dimension d/s over F_{q^s}
+(Curtis-Reiner, section 29), so the factor is recorded as s such pieces
+without leaving F_q.  Odd s do occur (Artin-Schreier weight
+polynomials), so s is taken from the module, never assumed to be 2.
 """
 
 from __future__ import annotations
@@ -27,20 +28,17 @@ from itertools import product
 from math import gcd
 
 from .center import zp_coordinates
-from .errors import DimensionCap, SplitBudgetExceeded
+from .errors import DimensionCap, SelfCheckFailure, SplitBudgetExceeded
 from .fields import GF, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
 from .matops import ops_for
 from .pbw import UEElement, _mono_times_mono
-from .polys import as_poly, proots
 from .util import deglex_key, derive_seed
 
 MAX_SPLIT_TRIES = 40
-MAX_ESCALATIONS = 2
 BURNSIDE_DIM_CAP = 96
 ENDO_PROBE_TRIES = 6
 KERNEL_SPIN_CAP = 4
-ESCALATED_PHYSICAL_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -124,12 +122,6 @@ class AlgebraModule:
     field: GF
     mats: list
 
-    def action_rows(self, i):
-        a = self.mats[i]
-        if isinstance(a, list):
-            return [list(row) for row in a]
-        return [[self.field.from_int(int(x)) for x in row] for row in a]
-
 
 def regular_representation(u: ReducedEnvelopingAlgebra) -> AlgebraModule:
     """Left regular action of the generators on the reduced monomial basis."""
@@ -163,7 +155,7 @@ class SplitReport:
     """Composition factor data from one module split."""
 
     dims: tuple
-    factors: tuple  # (dimension, working field order) pairs
+    factors: tuple  # (dimension, order of the factor's splitting field) pairs
     degraded: bool
 
 
@@ -245,11 +237,14 @@ def _norton_attempt(ops, mats, d, rng):
         kernel = ops.nullspace(n_mat)
         if not kernel:
             continue
-        for kv in kernel[:KERNEL_SPIN_CAP]:
+        good = len(kernel) == deg
+        # the kernel of a good factor is one F[r]/(f)-line: every kernel
+        # vector spins to the same module as the first
+        for kv in kernel[: 1 if good else KERNEL_SPIN_CAP]:
             spun = _spin(ops, [kv], mats, d)
             if spun.dim < d:
                 return ("split", spun)
-        if len(kernel) == deg:
+        if good:
             # good factor: a single dual spin decides irreducibility
             mats_t = [ops.transpose(a) for a in mats]
             nt = ops.transpose(n_mat)
@@ -303,6 +298,17 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
         return 1
     if d > BURNSIDE_DIM_CAP:
         return None
+    alg_dim = _algebra_dimension(ops, mats, d)
+    if (d * d) % alg_dim:
+        raise SelfCheckFailure(
+            f"matrix algebra of dimension {alg_dim} on an irreducible module of "
+            f"dimension {d}: Burnside needs a divisor of {d * d}"
+        )
+    return (d * d) // alg_dim
+
+
+def _algebra_dimension(ops, mats, d):
+    """Dimension of the unital matrix algebra generated by ``mats``."""
     state = ops.new_echelon(d * d)
     queue = []
     ident = ops.identity(d)
@@ -314,61 +320,27 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
             prod = ops.matmul(a, m)
             if state.insert(_flatten(ops, prod, d)) is not None:
                 queue.append(prod)
-    alg_dim = state.dim
-    assert (d * d) % alg_dim == 0
-    return (d * d) // alg_dim
-
-
-def _field_embedding(old: GF, new: GF, seed: int):
-    """Map F_{p^e} into F_{p^(e s)} by sending t to a root of the modulus."""
-    if old.e == 1:
-        return lambda x: new.from_int(int(x))
-    modulus = as_poly(new, [new.from_int(c) for c in old.modulus])
-    rng = random.Random(derive_seed("embed-root", old.p, old.e, new.e, seed))
-    root = proots(modulus, new, rng)[0]
-    powers = [new.one]
-    for _ in range(old.e - 1):
-        powers.append(powers[-1] * root)
-
-    def embed(x):
-        acc = new.zero
-        for a, pw in zip(x.coeffs, powers):
-            if a:
-                acc = acc + new.from_int(a) * pw
-        return acc
-
-    return embed
-
-
-def _base_change_module(module: AlgebraModule, new_field: GF, seed: int) -> AlgebraModule:
-    embed = _field_embedding(module.field, new_field, seed)
-    ops_new = ops_for(new_field)
-    mats = []
-    for a in module.mats:
-        if isinstance(a, list):
-            rows = [[embed(x) for x in row] for row in a]
-        else:
-            rows = [[embed(int(x)) for x in row] for row in a]
-        mats.append(ops_new.from_rows(rows))
-    return AlgebraModule(dimension=module.dimension, field=new_field, mats=mats)
+    return state.dim
 
 
 def split_simples(module: AlgebraModule, seed: int = 0) -> SplitReport:
-    """Composition factor dimensions of the module, working field recorded.
+    """Composition factor dimensions over the splitting field of each factor.
 
-    Dimensions are reported over the final working field of each
-    factor, so a factor that only splits after extending scalars
-    contributes its smaller pieces.  ``degraded`` is set when some
-    factor exhausted its escalation budget and contributes only an
-    upper bound on the honest dimension.
+    Splitting stays on the module's own field F_q.  A factor that is
+    irreducible there with endomorphism field F_{q^s} contributes s
+    pieces of dimension d / s, recorded with field order q^s; s is exact
+    whenever it is known.  ``degraded`` is set when some factor is too
+    large for the Burnside count (``BURNSIDE_DIM_CAP``) while its
+    good-factor degrees leave s open, so it contributes its F_q
+    dimension, only an upper bound on the honest one.
     """
     rng = random.Random(derive_seed("meataxe", seed))
     dims = []
     factors = []
     degraded = False
-    stack = [(module, 0)]
+    stack = [module]
     while stack:
-        mod, esc = stack.pop()
+        mod = stack.pop()
         d = mod.dimension
         if d == 0:
             continue
@@ -397,33 +369,17 @@ def split_simples(module: AlgebraModule, seed: int = 0) -> SplitReport:
                 field=mod.field,
                 mats=_quotient(ops, mod.mats, state, d),
             )
-            stack.append((sub, esc))
-            stack.append((quo, esc))
+            stack.append(sub)
+            stack.append(quo)
             continue
         # certified irreducible over mod.field; decide absolute irreducibility
         s = _endomorphism_degree(ops, mod.mats, d, rng, payload)
-        if s == 1:
-            dims.append(d)
-            factors.append((d, mod.field.order))
-            continue
-        if s is None or esc >= MAX_ESCALATIONS:
+        if s is None:
             degraded = True
-            dims.append(d)
-            factors.append((d, mod.field.order))
-            continue
-        new_field = galois_field(
-            mod.field.p, mod.field.e * s, seed=derive_seed("escalate", seed, esc)
-        )
-        if d <= ESCALATED_PHYSICAL_CAP:
-            stack.append((_base_change_module(mod, new_field, seed), esc + 1))
-        else:
-            # the endomorphism field has exact degree s (Burnside count),
-            # so over its splitting field the factor is s Galois twists
-            # of one absolutely irreducible module of dimension d // s;
-            # expand structurally instead of re-splitting a large module
-            for _ in range(s):
-                dims.append(d // s)
-                factors.append((d // s, new_field.order))
+            s = 1
+        for _ in range(s):
+            dims.append(d // s)
+            factors.append((d // s, mod.field.order**s))
     return SplitReport(dims=tuple(sorted(dims)), factors=tuple(factors), degraded=degraded)
 
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from kw1.errors import DenominatorDivisibleByP, NotRestrictable
+from kw1 import liealg
+from kw1.cli import main
+from kw1.errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
 from kw1.fields import galois_field, prime_field
 from kw1.liealg import (
     LieAlgebraPresentation,
@@ -124,6 +126,13 @@ def test_p_map_override():
     )
     with pytest.raises(NotRestrictable):
         with_p_map(base_change_mod_p(bad, 3), override=bad.pmap_override)
+
+
+def test_computed_p_map_self_check(monkeypatch):
+    monkeypatch.setattr(liealg, "verify_restricted", lambda alg, rs: False)
+    with pytest.raises(SelfCheckFailure, match="computed p-map"):
+        with_p_map(base_change_mod_p(get_example("sl2"), 3))
+    assert main(["pmap", "--example", "sl2", "--prime", "3"]) == 3
 
 
 def test_index_examples():

@@ -13,7 +13,6 @@ from kw1.polys import (
     pgcd,
     pis_irreducible,
     pmul,
-    proots,
     ptrim,
 )
 
@@ -47,7 +46,7 @@ def test_factor_known_splitting():
     rng = random.Random(0)
     factors = pfactor(f, f3, rng)
     assert [pdeg(g) for g, _ in factors] == [1, 1, 1]
-    roots = proots(f, f3, rng)
+    roots = [-g[0] for g, _ in factors]
     assert sorted(int(r) for r in roots) == [0, 1, 2]
 
 
@@ -59,7 +58,9 @@ def test_artin_schreier_irreducible():
     f27 = galois_field(3, 3)
     lifted = as_poly(f27, [f27.from_int(-1), f27.from_int(-1), f27.zero, f27.one])
     rng = random.Random(3)
-    assert len(proots(lifted, f27, rng)) == 3
+    roots = [-g[0] for g, _ in pfactor(lifted, f27, rng) if pdeg(g) == 1]
+    assert len(roots) == 3
+    assert all(not peval(lifted, r, f27) for r in roots)
 
 
 def test_repeated_factors_multiplicity():

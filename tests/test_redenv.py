@@ -1,10 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
-from kw1.errors import DimensionCap
+from kw1 import matops, redenv
+from kw1.cli import main
+from kw1.errors import DimensionCap, SelfCheckFailure
 from kw1.fields import galois_field, prime_field
 from kw1.matops import ops_for
 from kw1.redenv import (
+    AlgebraModule,
     Character,
     max_irreducible_dim,
     reduced_algebra,
@@ -151,9 +156,8 @@ def test_heisenberg_p3_central_character(make_algebra):
     assert not rep.degraded
 
 
-def test_heisenberg_explicit_irreducible_module():
-    # independent witness on k[t]/(t^3): x -> d/dt, y -> t, z -> 1,
-    # satisfying the chi = (0, 0, 1) relations x^3 = y^3 = 0, z^3 = 1
+def heisenberg_weyl_module():
+    """x -> d/dt, y -> t, z -> 1 on k[t]/(t^3): irreducible at chi = (0, 0, 1)."""
     p = 3
     deriv = np.zeros((p, p), dtype=np.int64)
     for i in range(1, p):
@@ -162,12 +166,18 @@ def test_heisenberg_explicit_irreducible_module():
     for i in range(p - 1):
         mult[i + 1, i] = 1
     ident = np.eye(p, dtype=np.int64)
+    return AlgebraModule(dimension=p, field=prime_field(p), mats=[deriv, mult, ident])
+
+
+def test_heisenberg_explicit_irreducible_module():
+    # independent witness satisfying the chi = (0, 0, 1) relations
+    # x^3 = y^3 = 0, z^3 = 1
+    p = 3
+    module = heisenberg_weyl_module()
+    deriv, mult, ident = module.mats
     assert ((deriv @ mult - mult @ deriv - ident) % p == 0).all()
     assert (np.linalg.matrix_power(deriv, p) % p == 0).all()
     assert (np.linalg.matrix_power(mult, p) % p == 0).all()
-    from kw1.redenv import AlgebraModule
-
-    module = AlgebraModule(dimension=p, field=prime_field(p), mats=[deriv, mult, ident])
     rep = split_simples(module, seed=0)
     assert rep.dims == (3,)
 
@@ -188,6 +198,69 @@ def test_sl2_p3_artin_schreier_escalation(make_algebra):
     assert rep.dims == (3,) * 9
     assert not rep.degraded
     assert all(order == 27 for _dim, order in rep.factors)
+
+
+# F_3 characters whose F_3-irreducible factors have endomorphism field F_27
+ARTIN_SCHREIER = (("sl2", (1, 0, 0), (3,) * 9), ("nonabelian2", (2, 0), (1,) * 9))
+
+
+@pytest.mark.parametrize("name,values,dims", ARTIN_SCHREIER)
+def test_structural_escalation_matches_split_over_f27(make_algebra, name, values, dims):
+    # the F_3 run records s Galois twists per factor; splitting the same
+    # module over F_27 (the extension-field backend) must find them
+    alg = make_algebra(name, 3)
+    f27 = galois_field(3, 3)
+    over_f3 = split_simples(regular_representation(reduced_algebra(alg, chi_of(alg, *values))))
+    chi27 = chi_of(alg, *values, field=f27)
+    over_f27 = split_simples(regular_representation(reduced_algebra(alg, chi27)))
+    assert over_f3.dims == over_f27.dims == dims
+    assert sorted(over_f3.factors) == sorted(over_f27.factors)
+    assert {order for _d, order in over_f3.factors} == {27}
+    assert not over_f3.degraded and not over_f27.degraded
+
+
+@pytest.mark.parametrize("name,values,dims", ARTIN_SCHREIER)
+def test_escalation_never_leaves_the_prime_field(make_algebra, monkeypatch, name, values, dims):
+    def no_extension_backend(field):
+        raise AssertionError(f"extension-field backend built for {field}")
+
+    monkeypatch.setattr(matops, "ExtOps", no_extension_backend)
+    alg = make_algebra(name, 3)
+    rep = split_simples(regular_representation(reduced_algebra(alg, chi_of(alg, *values))))
+    assert rep.dims == dims
+
+
+def test_good_factor_spins_one_kernel_vector(monkeypatch):
+    # a good factor's kernel is one F[r]-line, so one kernel spin and one
+    # dual spin decide irreducibility, whatever the factor degree
+    module = heisenberg_weyl_module()
+    ops = ops_for(module.field)
+    spins = []
+    real_spin = redenv._spin
+
+    def counted(*args):
+        spins.append(1)
+        return real_spin(*args)
+
+    monkeypatch.setattr(redenv, "_spin", counted)
+    degrees = []
+    for seed in range(40):
+        spins.clear()
+        outcome = redenv._norton_attempt(ops, module.mats, 3, random.Random(seed))
+        if outcome is not None:
+            assert outcome[0] == "irreducible"
+            assert len(spins) == 2, (seed, outcome)
+            degrees.append(outcome[1])
+    assert max(degrees) > 1
+
+
+def test_burnside_divisibility_self_check(make_algebra, monkeypatch):
+    monkeypatch.setattr(redenv, "_algebra_dimension", lambda ops, mats, d: d * d - 1)
+    alg = make_algebra("sl2", 3)
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 0, 0)))
+    with pytest.raises(SelfCheckFailure, match="Burnside"):
+        split_simples(module)
+    assert main(["oracle", "--example", "nonabelian2", "--prime", "3"]) == 3
 
 
 def test_split_dims_sum_invariant(make_algebra):
