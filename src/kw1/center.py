@@ -37,12 +37,11 @@ from .errors import (
     WeightMismatch,
     ZeroElement,
 )
-from .fields import GF, galois_field, prime_field, render_poly_modp
+from .fields import GF, galois_field, prime_field, reduce_sparse, render_poly_modp
 from .liealg import ModularLieAlgebra, index_generic
 from .pbw import (
     SymPoly,
     UEElement,
-    _accumulate,
     _mono_times_letter,
     _mono_times_mono,
     pbw_bracket,
@@ -162,7 +161,7 @@ def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
         hot = next((i for i in range(n) if mono[i] >= p), None)
         if hot is None:
             bucket = out.setdefault(mono, {})
-            _accumulate(bucket, xi_exps, coeff)
+            bucket[xi_exps] = bucket.get(xi_exps, 0) + coeff
             continue
         # split x^mono = prefix . x_hot^p . remainder
         prefix = tuple(mono[k] if k < hot else 0 for k in range(n))
@@ -178,14 +177,14 @@ def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
             if not cl:
                 continue
             for m1, c1 in _mono_times_letter(alg, prefix, l).items():
+                c = coeff * cl * c1
                 for m2, c2 in _mono_times_mono(alg, m1, remainder).items():
-                    work.append((xi_exps, m2, coeff * cl * c1 * c2))
-    coords = {
-        mono: SymPoly(alg.field, n, bucket)
-        for mono, bucket in out.items()
-        if any(bucket.values())
-    }
-    coords = {m: poly for m, poly in coords.items() if not poly.is_zero()}
+                    work.append((xi_exps, m2, c * c2 % p))
+    coords = {}
+    for mono, bucket in out.items():
+        terms = reduce_sparse(bucket, p)
+        if terms:
+            coords[mono] = SymPoly._reduced(alg.field, n, terms)
     return ZpCoordinateVector(alg, coords)
 
 
@@ -234,11 +233,10 @@ def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
     # canonicalize: reduced echelon form with leading monomials as pivots
     reduced, _ = linalg.rref_modp(basis, p)
     elements = []
-    field = alg.field
     for row in reduced:
-        terms = {monos[k]: field.from_int(int(row[k])) for k in np.flatnonzero(row)}
+        terms = {monos[k]: int(row[k]) for k in np.flatnonzero(row)}
         if terms:
-            elements.append(UEElement(alg, terms))
+            elements.append(UEElement._reduced(alg, terms))
     # exact recheck after the solve: every basis vector really is central
     for el in elements:
         for i in range(n):
@@ -298,14 +296,17 @@ def _rows_rank(alg, vectors, seed, min_ext=1):
     deg = max(v.max_xi_degree() for v in live)
     field = _specialization_field(alg, deg, seed, min_ext)
     rng = random.Random(derive_seed("specialize", alg.signature(), seed))
+    zero = field.zero if field.e > 1 else 0
     best = 0
     for _ in range(RANK_TRIALS):
         point = tuple(field.random_nonzero(rng) for _ in range(alg.n))
+        if field.e == 1:
+            point = tuple(int(x) for x in point)  # F_p scalars are int residues
         rows = []
         for v in live:
-            row = [field.zero] * len(columns)
+            row = [zero] * len(columns)
             for mono, val in v.specialize(point).items():
-                row[col_index[mono]] = field.embed(val) if val.field is not field else val
+                row[col_index[mono]] = val
             rows.append(row)
         best = max(best, linalg.rank(rows, field))
         if best == min(len(live), len(columns)):
@@ -440,12 +441,14 @@ def _frobenius_coordinates(f: SymPoly, p: int):
         r = tuple(a % p for a in exps)
         q = tuple(a // p for a in exps)
         bucket = coords.setdefault(r, {})
-        _accumulate(bucket, q, c)
-    return {
-        r: SymPoly(f.field, f.n, bucket)
-        for r, bucket in coords.items()
-        if any(bucket.values())
-    }
+        bucket[q] = bucket.get(q, 0) + c
+    modulus = f.field.residue_modulus
+    out = {}
+    for r, bucket in coords.items():
+        terms = reduce_sparse(bucket, modulus)
+        if terms:
+            out[r] = SymPoly._reduced(f.field, f.n, terms)
+    return out
 
 
 def rank_over_frobenius_subring(
@@ -494,8 +497,7 @@ def rank_over_frobenius_subring(
             for c in coords:
                 row = [ext.zero] * len(columns)
                 for mono, poly in c.items():
-                    val = poly.evaluate(point)
-                    row[col_index[mono]] = ext.embed(val) if val.field is not ext else val
+                    row[col_index[mono]] = poly.evaluate(point)
                 rows.append(row)
             best = max(best, linalg.rank(rows, ext))
         return best

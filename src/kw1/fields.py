@@ -1,10 +1,13 @@
 """Exact scalars: arbitrary-precision rationals and finite fields F_{p^e}.
 
-Rationals are ``fractions.Fraction`` (lowest terms, positive denominator
-by construction).  An element of GF(p, e) is a polynomial of degree < e
-over F_p, stored as a tuple of e small ints and kept reduced modulo a
-fixed monic irreducible defining polynomial.  For e = 1 the defining
-polynomial is implicit and elements are single residues.
+Each field kind has one scalar representation in sparse elements
+(``GF.scalar``, ``reduce_sparse``).  Rationals are ``fractions.Fraction``
+(lowest terms, positive denominator by construction).  Over a prime
+field F_p scalars are plain ints, residues in [0, p).  An element of
+GF(p, e) with e > 1 is an ``FFElem``: a polynomial of degree < e over
+F_p, stored as a tuple of e small ints and kept reduced modulo a fixed
+monic irreducible defining polynomial.  ``FFElem`` over GF(p) (a single
+residue) remains for dense matrix and character code.
 
 Defining polynomials are either supplied or drawn from a seeded RNG and
 certified irreducible by the Frobenius gcd criterion, so the triple
@@ -16,6 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from numbers import Integral
 
 from .errors import CoefficientFieldMismatch, DenominatorDivisibleByP
 from .util import derive_seed
@@ -27,11 +31,15 @@ class RationalField:
     is_rational = True
     p = 0
     e = 1
+    residue_modulus = 0
     zero = Fraction(0)
     one = Fraction(1)
 
     def from_int(self, k):
         return Fraction(k)
+
+    def scalar(self, x):
+        return Fraction(x)
 
     def __repr__(self):
         return "QQ"
@@ -221,6 +229,8 @@ class GF:
         self.p = p
         self.e = e
         self.order = p**e
+        # scalars are int residues mod p exactly when e == 1
+        self.residue_modulus = p if e == 1 else 0
         if e == 1:
             self.modulus = None
         else:
@@ -264,12 +274,31 @@ class GF:
 
     def from_rational(self, x: Fraction) -> "FFElem":
         """Reduce an exact rational mod p; denominator must avoid p."""
+        return self.from_int(self._rational_residue(x))
+
+    def _rational_residue(self, x) -> int:
         x = Fraction(x)
         if x.denominator % self.p == 0:
             raise DenominatorDivisibleByP(x, self.p)
-        num = x.numerator % self.p
-        den_inv = pow(x.denominator % self.p, -1, self.p)
-        return self.from_int(num * den_inv)
+        return (x.numerator * pow(x.denominator, -1, self.p)) % self.p
+
+    def scalar(self, x):
+        """``x`` in this field's sparse representation.
+
+        Over F_p that is a plain int in [0, p), from an int, a Fraction
+        or a prime-field ``FFElem``; over F_{p^e}, e > 1, an ``FFElem``.
+        """
+        if self.e > 1:
+            return self.embed(x)
+        if isinstance(x, int):
+            return x % self.p
+        if isinstance(x, FFElem) and x.field.p == self.p and x.field.e == 1:
+            return x.coeffs[0]
+        if isinstance(x, Fraction):
+            return self._rational_residue(x)
+        if isinstance(x, Integral):  # numpy integers
+            return int(x) % self.p
+        raise CoefficientFieldMismatch(f"cannot read {x!r} as a scalar of {self!r}")
 
     def elem(self, coeffs) -> "FFElem":
         coeffs = tuple(int(c) % self.p for c in coeffs)
@@ -291,8 +320,10 @@ class GF:
         for coeffs in product(range(self.p), repeat=self.e):
             yield FFElem(self, coeffs)
 
-    def embed(self, x: "FFElem") -> "FFElem":
-        """Embed an element of the prime subfield into this field."""
+    def embed(self, x) -> "FFElem":
+        """Embed an int residue or an element of the prime subfield."""
+        if isinstance(x, Integral):
+            return self.from_int(int(x))
         if x.field is self or x.field == self:
             return x
         if x.field.p != self.p or x.field.e != 1:
@@ -466,6 +497,18 @@ class FFElem:
 
     def __repr__(self):
         return self.render()
+
+
+def reduce_sparse(raw: dict, modulus: int) -> dict:
+    """Canonical sparse map from raw accumulated scalars, zeros dropped.
+
+    With ``modulus`` p > 0 the values are unreduced ints and come out as
+    residues in [1, p); with 0 they are Fraction or FFElem values, which
+    are already reduced.
+    """
+    if modulus:
+        return {k: r for k, c in raw.items() if (r := c % modulus)}
+    return {k: c for k, c in raw.items() if c}
 
 
 _FIELD_CACHE: dict = {}

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
-from .fields import GF, QQ, prime_field, galois_field
+from .fields import QQ, prime_field, galois_field, reduce_sparse
 from .util import derive_seed, sz_extension_degree
 
 
@@ -83,7 +83,7 @@ class LieAlgebraPresentation:
 
 @dataclass(frozen=True)
 class RestrictedStructure:
-    """p-map table: row i gives the coordinates of x_i^[p]."""
+    """p-map table: row i gives the coordinates of x_i^[p] as int residues."""
 
     rows: tuple
 
@@ -94,9 +94,11 @@ class RestrictedStructure:
 class ModularLieAlgebra:
     """A presentation base-changed to F_p, optionally with a p-map.
 
-    Structure constants always live in the prime field; extensions
-    F_{p^e} only enter through evaluation points, so ``e`` records the
-    declared ambient extension degree without changing the constants.
+    Structure constants always live in the prime field, as int residues
+    in [1, p) (ints, Fractions and prime-field elements are accepted and
+    reduced); extensions F_{p^e} only enter through evaluation points,
+    so ``e`` records the declared ambient extension degree without
+    changing the constants.
     """
 
     def __init__(self, name, labels, p, constants, e=1, restricted=None):
@@ -105,13 +107,19 @@ class ModularLieAlgebra:
         self.p = p
         self.e = e
         self.field = prime_field(p)
-        self.constants = _normalize_constants(constants, len(self.labels))
+        scalar = self.field.scalar
+        self.constants = _normalize_constants(
+            {k: {i: scalar(c) for i, c in comp.items()} for k, comp in constants.items()},
+            len(self.labels),
+        )
         self.restricted = restricted
         self._pbw_memo = {}
+        # each constant enters as (i, (c,)): seed derivation and the memo
+        # file name depend on this exact tuple
         self._signature = (
             p,
             self.labels,
-            tuple(sorted((k, tuple(sorted((i, c.coeffs) for i, c in v.items())))
+            tuple(sorted((k, tuple(sorted((i, (c,)) for i, c in v.items())))
                          for k, v in self.constants.items())),
         )
 
@@ -124,7 +132,8 @@ class ModularLieAlgebra:
             return {}
         if i < j:
             return self.constants.get((i, j), {})
-        return {k: -v for k, v in self.constants.get((j, i), {}).items()}
+        p = self.p
+        return {k: p - v for k, v in self.constants.get((j, i), {}).items()}
 
     def signature(self) -> int:
         """Stable identifier of (constants, p) for seed derivation."""
@@ -138,33 +147,14 @@ class ModularLieAlgebra:
 # validation
 # ---------------------------------------------------------------------------
 
-def _bracket_element_bracket(ctx, comp, l):
-    """[sum_k comp_k x_k, x_l] as a sparse map."""
-    out = {}
-    for k, c in comp.items():
-        for m, d in ctx.bracket(k, l).items():
-            v = out.get(m, None)
-            v = c * d if v is None else v + c * d
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
-
-
 def jacobi_defect(ctx, i, j, l):
     """[[x_i,x_j],x_l] + [[x_j,x_l],x_i] + [[x_l,x_i],x_j], sparse."""
     total = {}
     for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-        inner = ctx.bracket(a, b)
-        for m, v in _bracket_element_bracket(ctx, inner, c).items():
-            w = total.get(m, None)
-            w = v if w is None else w + v
-            if w:
-                total[m] = w
-            elif m in total:
-                del total[m]
-    return total
+        for k, v in ctx.bracket(a, b).items():
+            for m, d in ctx.bracket(k, c).items():
+                total[m] = total.get(m, 0) + v * d
+    return reduce_sparse(total, ctx.field.p)
 
 
 def validate_presentation(ctx):
@@ -194,46 +184,46 @@ def base_change_mod_p(pres: LieAlgebraPresentation, p: int, e: int = 1) -> Modul
     Raises DenominatorDivisibleByP when some constant has denominator
     divisible by p, the signal that p is too small for this presentation.
     """
-    fp = prime_field(p)
-    constants = {}
-    for key, comp in pres.constants.items():
-        constants[key] = {k: fp.from_rational(v) for k, v in comp.items()}
-    alg = ModularLieAlgebra(pres.name, pres.labels, p, constants, e=e)
+    alg = ModularLieAlgebra(pres.name, pres.labels, p, pres.constants, e=e)
     bad = validate_presentation(alg)
     if bad:
-        raise AssertionError(f"Jacobi broke after reduction mod {p}: {bad[:3]}")
+        raise SelfCheckFailure(f"Jacobi broke after reduction mod {p}: {bad[:3]}")
     return alg
 
 
 def ad_matrix(ctx, i):
     """Rows of the n x n matrix of ad(x_i): entry [l][j] = coeff of x_l in [x_i, x_j]."""
     n = ctx.n
-    zero = ctx.field.zero
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[ctx.field.scalar(0)] * n for _ in range(n)]
     for j in range(n):
         for l, c in ctx.bracket(i, j).items():
             rows[l][j] = c
     return rows
 
 
-def ad_matrix_of_vector(ctx, coeffs):
+def _reduce_rows(rows, field):
+    p = field.residue_modulus
+    return [[x % p for x in row] for row in rows] if p else rows
+
+
+def ad_matrix_of_vector(ctx, coeffs, field):
+    """ad of sum_k coeffs_k x_k, for coefficients that are scalars of ``field``."""
     n = ctx.n
-    zero = coeffs[0] - coeffs[0] if coeffs else ctx.field.zero
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[field.scalar(0)] * n for _ in range(n)]
     for k, c in enumerate(coeffs):
         if not c:
             continue
         for j in range(n):
             for l, d in ctx.bracket(k, j).items():
                 rows[l][j] = rows[l][j] + c * d
-    return rows
+    return _reduce_rows(rows, field)
 
 
-def _mat_mul(a, b, zero):
+def _mat_mul(a, b, field):
     n = len(a)
     m = len(b[0])
     inner = len(b)
-    out = [[zero] * m for _ in range(n)]
+    out = [[field.scalar(0)] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         for k in range(inner):
@@ -244,17 +234,17 @@ def _mat_mul(a, b, zero):
                 for j in range(m):
                     if bk[j]:
                         row[j] = row[j] + c * bk[j]
-    return out
+    return _reduce_rows(out, field)
 
 
 def _mat_pow(a, k, field):
     n = len(a)
-    result = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
+    result = [[field.scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
     base = a
     while k:
         if k & 1:
-            result = _mat_mul(result, base, field.zero)
-        base = _mat_mul(base, base, field.zero)
+            result = _mat_mul(result, base, field)
+        base = _mat_mul(base, base, field)
         k >>= 1
     return result
 
@@ -273,8 +263,7 @@ def _solve_inner_derivation(alg: ModularLieAlgebra, target, work_field=None):
     rhs = []
     for a in range(n):
         for b in range(n):
-            rows.append([field.embed(ads[k][a][b]) if field is not alg.field else ads[k][a][b]
-                         for k in range(n)])
+            rows.append([field.scalar(ads[k][a][b]) for k in range(n)])
             rhs.append(target[a][b])
     return linalg.solve(rows, rhs, field)
 
@@ -293,7 +282,7 @@ def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
         y = _solve_inner_derivation(alg, target)
         if y is None:
             raise NotRestrictable(i, alg.labels[i])
-        rows.append(tuple(y))
+        rows.append(tuple(int(c) for c in y))
     return RestrictedStructure(rows=tuple(rows))
 
 
@@ -302,9 +291,9 @@ def p_map_override_to_structure(alg: ModularLieAlgebra, override) -> RestrictedS
     idx = {lbl: i for i, lbl in enumerate(alg.labels)}
     rows = []
     for i, lbl in enumerate(alg.labels):
-        vec = [alg.field.zero] * alg.n
+        vec = [0] * alg.n
         for tgt, val in override.get(lbl, {}).items():
-            vec[idx[tgt]] = alg.field.from_rational(Fraction(val))
+            vec[idx[tgt]] = alg.field.scalar(Fraction(val))
         rows.append(tuple(vec))
     return RestrictedStructure(rows=tuple(rows))
 
@@ -312,9 +301,8 @@ def p_map_override_to_structure(alg: ModularLieAlgebra, override) -> RestrictedS
 def verify_restricted(alg: ModularLieAlgebra, rs: RestrictedStructure) -> bool:
     """Exact check of ad(x_i^[p]) == (ad x_i)^p for every i."""
     for i in range(alg.n):
-        lhs = ad_matrix_of_vector(alg, list(rs.vector(i)))
-        rhs = _mat_pow(ad_matrix(alg, i), alg.p, alg.field)
-        if any(lhs[a][b] != rhs[a][b] for a in range(alg.n) for b in range(alg.n)):
+        lhs = ad_matrix_of_vector(alg, rs.vector(i), alg.field)
+        if lhs != _mat_pow(ad_matrix(alg, i), alg.p, alg.field):
             return False
     return True
 
@@ -341,12 +329,8 @@ def p_power_of_vector(alg: ModularLieAlgebra, coeffs):
     solve is used, so the result is semilinear on commuting pairs.
     """
     work_field = coeffs[0].field
-    embedded = [work_field.embed(c) if c.field is not work_field else c for c in coeffs]
-    target = _mat_pow(
-        [[work_field.embed(x) for x in row] for row in ad_matrix_of_vector(alg, embedded)],
-        alg.p,
-        work_field,
-    )
+    vec = [work_field.scalar(c) for c in coeffs]
+    target = _mat_pow(ad_matrix_of_vector(alg, vec, work_field), alg.p, work_field)
     y = _solve_inner_derivation(alg, target, work_field=work_field)
     if y is None:
         raise NotRestrictable(-1, "vector")

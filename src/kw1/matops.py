@@ -18,6 +18,7 @@ import random
 import numpy as np
 
 from . import fastpoly, linalg
+from .errors import CoefficientFieldMismatch
 from .fields import GF
 from .polys import pfactor
 
@@ -107,7 +108,8 @@ class PrimeOps:
     """numpy int64 matrices reduced mod p."""
 
     def __init__(self, field: GF):
-        assert field.e == 1
+        if field.e != 1:
+            raise CoefficientFieldMismatch(f"PrimeOps needs a prime field, got {field!r}")
         self.field = field
         self.p = field.p
 

@@ -6,6 +6,15 @@ normal form with the rewrite x_j x_i = x_i x_j - [x_i, x_j] for j > i,
 applied recursively one letter at a time and memoized per algebra; the
 PBW relations are confluent so no Groebner machinery is needed.
 
+Scalars follow the field kind (``GF.scalar``): over F_p they are plain
+ints, residues in [0, p), and a stored coefficient is never 0; over the
+rationals they are ``Fraction``; ``FFElem`` is used only for F_{p^e},
+e > 1, that is for specialization points and the values computed at
+them.  The straightening loops accumulate raw int products and reduce
+them mod p when a memo entry or an element is finished.  Constructors
+accept ints, Fractions and prime-field ``FFElem`` coefficients and
+normalize them.
+
 Also provides the symmetrization section Sym(g) -> U(g), principal
 symbols in the associated graded, and the detector for elements on
 which the adjoint action is scalar (semi-invariants).
@@ -21,30 +30,28 @@ from .errors import (
     FactorialNotInvertible,
     ZeroElement,
 )
-from .fields import FFElem, QQ
+from .fields import FFElem, QQ, reduce_sparse
 from .util import deglex_key
 
 NEG_INF = float("-inf")
 
 
-def _scalar_from_int(field, k):
-    if field is QQ:
-        return Fraction(k)
-    return field.from_int(k)
+def _add_into(out, terms, sign=1):
+    """Raw accumulation of ``sign * terms`` into ``out``; reduce afterwards."""
+    get = out.get
+    for m, c in terms.items():
+        out[m] = get(m, 0) + sign * c
+    return out
+
+
+def _divide(field, a, b):
+    p = field.residue_modulus
+    return a * pow(b, -1, p) % p if p else a / b
 
 
 # ---------------------------------------------------------------------------
 # monomial-level straightening with memoization
 # ---------------------------------------------------------------------------
-
-def _accumulate(target, mono, coeff):
-    v = target.get(mono)
-    v = coeff if v is None else v + coeff
-    if v:
-        target[mono] = v
-    elif mono in target:
-        del target[mono]
-
 
 def _mono_times_letter(ctx, mono, k):
     """Normal form of x^mono * x_k as a sparse monomial map."""
@@ -53,7 +60,6 @@ def _mono_times_letter(ctx, mono, k):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    one = _scalar_from_int(ctx.field, 1)
     top = -1
     for i in range(len(mono) - 1, -1, -1):
         if mono[i]:
@@ -61,40 +67,56 @@ def _mono_times_letter(ctx, mono, k):
             break
     if top <= k:
         ek = tuple(a + (1 if i == k else 0) for i, a in enumerate(mono))
-        result = {ek: one}
+        result = {ek: ctx.field.scalar(1)}
         memo[key] = result
         return result
     # strip the rightmost letter x_top:  x^mono x_k = x^rest (x_top x_k)
     # and x_top x_k = x_k x_top - [x_k, x_top]
     rest = tuple(a - (1 if i == top else 0) for i, a in enumerate(mono))
     out = {}
+    get = out.get
     for m2, c2 in _mono_times_letter(ctx, rest, k).items():
         for m3, c3 in _mono_times_letter(ctx, m2, top).items():
-            _accumulate(out, m3, c2 * c3)
+            out[m3] = get(m3, 0) + c2 * c3
     for l, cl in ctx.bracket(k, top).items():
         for m2, c2 in _mono_times_letter(ctx, rest, l).items():
-            _accumulate(out, m2, -(cl * c2))
+            out[m2] = get(m2, 0) - cl * c2
+    out = reduce_sparse(out, ctx.field.p)
     memo[key] = out
     return out
+
+
+def _times_letters(ctx, cur, letters):
+    """Normal form of cur * x_{l_1} x_{l_2} ...
+
+    Raw int sums carry over from one letter to the next; each is reduced
+    mod p when it is read, and the whole map once at the end.
+    """
+    p = ctx.field.p
+    for letter in letters:
+        nxt = {}
+        get = nxt.get
+        for mono, c in cur.items():
+            if p:
+                c %= p
+            if c:
+                for m2, c2 in _mono_times_letter(ctx, mono, letter).items():
+                    nxt[m2] = get(m2, 0) + c * c2
+        cur = nxt
+    return reduce_sparse(cur, p)
 
 
 def _mono_times_mono(ctx, a, b):
     """Normal form of x^a * x^b, folding the letters of b left to right."""
     if not any(b):
-        return {a: _scalar_from_int(ctx.field, 1)}
+        return {a: ctx.field.scalar(1)}
     memo = ctx._pbw_memo
     key = (a, b)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    cur = {a: _scalar_from_int(ctx.field, 1)}
-    for letter, count in enumerate(b):
-        for _ in range(count):
-            nxt = {}
-            for mono, c in cur.items():
-                for m2, c2 in _mono_times_letter(ctx, mono, letter).items():
-                    _accumulate(nxt, m2, c * c2)
-            cur = nxt
+    letters = [letter for letter, count in enumerate(b) for _ in range(count)]
+    cur = _times_letters(ctx, {a: ctx.field.scalar(1)}, letters)
     memo[key] = cur
     return cur
 
@@ -109,8 +131,17 @@ class UEElement:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx, terms):
+        scalar = ctx.field.scalar
         self.ctx = ctx
-        self.terms = {m: c for m, c in terms.items() if c}
+        self.terms = {m: s for m, c in terms.items() if (s := scalar(c))}
+
+    @classmethod
+    def _reduced(cls, ctx, terms):
+        """Wrap a map that is already canonical (no zeros, reduced scalars)."""
+        self = cls.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms
+        return self
 
     @property
     def degree(self):
@@ -123,7 +154,7 @@ class UEElement:
         return not self.terms
 
     def coefficient(self, mono):
-        return self.terms.get(tuple(mono), _scalar_from_int(self.ctx.field, 0))
+        return self.terms.get(tuple(mono), self.ctx.field.scalar(0))
 
     def _check_compatible(self, other):
         if not isinstance(other, UEElement):
@@ -133,27 +164,25 @@ class UEElement:
                 "elements live over different algebras or coefficient fields"
             )
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return UEElement(self.ctx, out)
+        out = _add_into(dict(self.terms), other.terms, sign)
+        return UEElement._reduced(self.ctx, reduce_sparse(out, self.ctx.field.p))
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, -c)
-        return UEElement(self.ctx, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return UEElement(self.ctx, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = _scalar_from_int(self.ctx.field, c)
-        return UEElement(self.ctx, {m: c * v for m, v in self.terms.items()})
+        field = self.ctx.field
+        c = field.scalar(c)
+        terms = {m: c * v for m, v in self.terms.items()}
+        return UEElement._reduced(self.ctx, reduce_sparse(terms, field.p))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FFElem)):
@@ -181,7 +210,7 @@ class UEElement:
         )
 
     def __hash__(self):
-        return hash(frozenset((m, _hashable(c)) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def bracket(self, other):
         return pbw_bracket(self, other)
@@ -191,10 +220,6 @@ class UEElement:
 
     def __repr__(self):
         return self.render()
-
-
-def _hashable(c):
-    return c if isinstance(c, Fraction) else c.coeffs
 
 
 def render_monomial(mono, labels) -> str:
@@ -207,9 +232,7 @@ def render_monomial(mono, labels) -> str:
 
 
 def render_scalar(c) -> str:
-    if isinstance(c, Fraction):
-        return str(c)
-    return c.render()
+    return c.render() if isinstance(c, FFElem) else str(c)
 
 
 def render_terms(terms, labels) -> str:
@@ -238,21 +261,18 @@ def render_terms(terms, labels) -> str:
 # constructors -------------------------------------------------------------
 
 def ue_zero(ctx) -> UEElement:
-    return UEElement(ctx, {})
+    return UEElement._reduced(ctx, {})
 
 
 def ue_one(ctx) -> UEElement:
-    return UEElement(ctx, {(0,) * ctx.n: _scalar_from_int(ctx.field, 1)})
+    return ue_monomial(ctx, (0,) * ctx.n)
 
 
 def ue_gen(ctx, i: int) -> UEElement:
-    mono = tuple(1 if k == i else 0 for k in range(ctx.n))
-    return UEElement(ctx, {mono: _scalar_from_int(ctx.field, 1)})
+    return ue_monomial(ctx, tuple(1 if k == i else 0 for k in range(ctx.n)))
 
 
 def ue_monomial(ctx, exps, coeff=1) -> UEElement:
-    if isinstance(coeff, int):
-        coeff = _scalar_from_int(ctx.field, coeff)
     return UEElement(ctx, {tuple(exps): coeff})
 
 
@@ -263,12 +283,13 @@ def pbw_multiply(a: UEElement, b: UEElement) -> UEElement:
     a._check_compatible(b)
     ctx = a.ctx
     out = {}
+    get = out.get
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             c = ca * cb
             for m, cm in _mono_times_mono(ctx, ma, mb).items():
-                _accumulate(out, m, c * cm)
-    return UEElement(ctx, out)
+                out[m] = get(m, 0) + c * cm
+    return UEElement._reduced(ctx, reduce_sparse(out, ctx.field.p))
 
 
 def pbw_bracket(a: UEElement, b: UEElement) -> UEElement:
@@ -321,33 +342,21 @@ def symmetrize(f: "SymPoly", ctx) -> UEElement:
     if f.field is not ctx.field:
         raise CoefficientFieldMismatch("polynomial and algebra fields differ")
     field = ctx.field
+    one = {(0,) * ctx.n: field.scalar(1)}
     out = ue_zero(ctx)
     for exps, c in f.terms.items():
         d = sum(exps)
         if field is not QQ and d >= field.p:
             raise FactorialNotInvertible(d, field.p)
-        if field is QQ:
-            weight = Fraction(1, factorial(d))
-            for a in exps:
-                weight *= factorial(a)
-        else:
-            num = 1
-            for a in exps:
-                num = (num * factorial(a)) % field.p
-            weight = field.from_int(num) / field.from_int(factorial(d) % field.p)
+        num = 1
+        for a in exps:
+            num *= factorial(a)
+        weight = _divide(field, field.scalar(num), field.scalar(factorial(d)))
         acc = {}
         for word in _distinct_words(exps):
-            cur = {(0,) * ctx.n: _scalar_from_int(field, 1)}
-            for letter in word:
-                nxt = {}
-                for mono, cc in cur.items():
-                    for m2, c2 in _mono_times_letter(ctx, mono, letter).items():
-                        _accumulate(nxt, m2, cc * c2)
-                cur = nxt
-            for mono, cc in cur.items():
-                _accumulate(acc, mono, cc)
-        term = UEElement(ctx, acc).scale(weight).scale(c)
-        out = out + term
+            _add_into(acc, _times_letters(ctx, one, word))
+        term = UEElement._reduced(ctx, reduce_sparse(acc, field.p))
+        out = out + term.scale(weight).scale(c)
     return out
 
 
@@ -361,27 +370,31 @@ class SymPoly:
     __slots__ = ("field", "n", "terms")
 
     def __init__(self, field, n, terms):
+        scalar = field.scalar
         self.field = field
         self.n = n
-        self.terms = {
-            tuple(m): (_scalar_from_int(field, c) if isinstance(c, int) else c)
-            for m, c in terms.items()
-            if c
-        }
+        self.terms = {tuple(m): s for m, c in terms.items() if (s := scalar(c))}
+
+    @classmethod
+    def _reduced(cls, field, n, terms):
+        """Wrap a map that is already canonical (no zeros, reduced scalars)."""
+        self = cls.__new__(cls)
+        self.field = field
+        self.n = n
+        self.terms = terms
+        return self
 
     @classmethod
     def monomial(cls, field, n, exps, coeff=1):
-        if isinstance(coeff, int):
-            coeff = _scalar_from_int(field, coeff)
         return cls(field, n, {tuple(exps): coeff})
 
     @classmethod
     def zero(cls, field, n):
-        return cls(field, n, {})
+        return cls._reduced(field, n, {})
 
     @classmethod
     def one(cls, field, n):
-        return cls(field, n, {(0,) * n: _scalar_from_int(field, 1)})
+        return cls.monomial(field, n, (0,) * n)
 
     @property
     def total_degree(self):
@@ -392,35 +405,34 @@ class SymPoly:
     def is_zero(self):
         return not self.terms
 
+    def _with(self, raw):
+        return SymPoly._reduced(
+            self.field, self.n, reduce_sparse(raw, self.field.residue_modulus)
+        )
+
     def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return SymPoly(self.field, self.n, out)
+        return self._with(_add_into(dict(self.terms), other.terms))
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, -c)
-        return SymPoly(self.field, self.n, out)
+        return self._with(_add_into(dict(self.terms), other.terms, -1))
 
     def __neg__(self):
-        return SymPoly(self.field, self.n, {m: -c for m, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c):
-        if isinstance(c, int):
-            c = _scalar_from_int(self.field, c)
-        return SymPoly(self.field, self.n, {m: c * v for m, v in self.terms.items()})
+        c = self.field.scalar(c)
+        return self._with({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, FFElem)):
             return self.scale(other)
         out = {}
+        get = out.get
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = tuple(x + y for x, y in zip(ma, mb))
-                _accumulate(out, m, ca * cb)
-        return SymPoly(self.field, self.n, out)
+                out[m] = get(m, 0) + ca * cb
+        return self._with(out)
 
     __rmul__ = __mul__
 
@@ -438,21 +450,35 @@ class SymPoly:
         )
 
     def __hash__(self):
-        return hash(frozenset((m, _hashable(c)) for m, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def evaluate(self, point):
-        """Value at a tuple of field elements (extensions allowed)."""
-        total = None
+        """Value at a point: F_{p^e} elements, or scalars of this field.
+
+        At ``FFElem`` coordinates the value is an element of the point's
+        field, also for a constant or zero polynomial.  At int residues
+        (or Fractions over QQ) it is a scalar of ``self.field``.
+        """
+        if point and isinstance(point[0], FFElem):
+            field = point[0].field
+            total = None
+            for m, c in self.terms.items():
+                v = c
+                for i, a in enumerate(m):
+                    for _ in range(a):
+                        v = v * point[i]
+                total = v if total is None else total + v
+            if total is None:
+                return field.zero
+            return total if isinstance(total, FFElem) else field.from_int(total)
+        total = 0
         for m, c in self.terms.items():
-            v = c
-            for i, a in enumerate(m):
-                for _ in range(a):
-                    v = v * point[i]
-            total = v if total is None else total + v
-        if total is None:
-            zero = point[0] - point[0] if point else self.field.zero
-            return zero
-        return total
+            for x, a in zip(point, m):
+                if a:
+                    c = c * x**a
+            total += c
+        p = self.field.residue_modulus
+        return total % p if p else self.field.scalar(total)
 
     def render(self, labels) -> str:
         return render_terms(self.terms, labels)
@@ -465,7 +491,7 @@ class SymPoly:
 
 def sym_from_element(a: UEElement) -> SymPoly:
     """Forget the ordering: read a PBW element as a commutative polynomial."""
-    return SymPoly(a.ctx.field, a.ctx.n, dict(a.terms))
+    return SymPoly._reduced(a.ctx.field, a.ctx.n, dict(a.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +501,8 @@ def sym_from_element(a: UEElement) -> SymPoly:
 def save_memo(alg, path) -> int:
     """Spill the core straightening memo to ``path``; returns entry count.
 
-    Coefficients are stored as plain ints, so the file is independent
-    of any live field objects.
+    Coefficients are int residues, so the file is independent of any
+    live field objects.
     """
     import pickle
 
@@ -484,7 +510,7 @@ def save_memo(alg, path) -> int:
     for key, value in alg._pbw_memo.items():
         if isinstance(key, str):
             continue  # derived caches are rebuilt, not spilled
-        plain[key] = {m: int(c) for m, c in value.items()}
+        plain[key] = value
     with open(path, "wb") as fh:
         pickle.dump({"p": alg.p, "entries": plain}, fh, protocol=4)
     return len(plain)
@@ -498,10 +524,9 @@ def load_memo(alg, path) -> int:
         data = pickle.load(fh)
     if data.get("p") != alg.p:
         return 0
-    field = alg.field
     count = 0
     for key, value in data["entries"].items():
-        alg._pbw_memo[key] = {m: field.from_int(c) for m, c in value.items()}
+        alg._pbw_memo[key] = reduce_sparse(value, alg.p)
         count += 1
     return count
 
@@ -509,6 +534,7 @@ def load_memo(alg, path) -> int:
 def ad_action_sym(ctx, i, f: SymPoly) -> SymPoly:
     """Adjoint action of x_i on Sym(g), extended as a derivation."""
     out = {}
+    get = out.get
     for m, c in f.terms.items():
         for j, a in enumerate(m):
             if a == 0:
@@ -516,8 +542,8 @@ def ad_action_sym(ctx, i, f: SymPoly) -> SymPoly:
             lowered = tuple(x - (1 if k == j else 0) for k, x in enumerate(m))
             for l, d in ctx.bracket(i, j).items():
                 m2 = tuple(x + (1 if k == l else 0) for k, x in enumerate(lowered))
-                _accumulate(out, m2, c * d * _scalar_from_int(ctx.field, a))
-    return SymPoly(ctx.field, ctx.n, out)
+                out[m2] = get(m2, 0) + c * d * a
+    return f._with(out)
 
 
 def semi_invariant_weight(a, alg=None):
@@ -532,40 +558,32 @@ def semi_invariant_weight(a, alg=None):
         ctx = a.ctx
         if a.is_zero():
             raise ZeroElement("weight of the zero element is undefined")
-        ref = max(a.terms, key=deglex_key)
-        ref_coeff = a.terms[ref]
-        weights = []
-        for i in range(ctx.n):
-            b = pbw_bracket(ue_gen(ctx, i), a)
-            if b.is_zero():
-                weights.append(_scalar_from_int(ctx.field, 0))
-                continue
-            num = b.terms.get(ref)
-            if num is None:
-                return None
-            lam = num / ref_coeff
-            if b != a.scale(lam):
-                return None
-            weights.append(lam)
-        return tuple(weights)
-    if alg is None:
-        raise ValueError("polynomial input needs the algebra")
-    f = a
-    if f.is_zero():
-        raise ZeroElement("weight of the zero polynomial is undefined")
-    ref = max(f.terms, key=deglex_key)
-    ref_coeff = f.terms[ref]
+
+        def act(i):
+            return pbw_bracket(ue_gen(ctx, i), a)
+    else:
+        if alg is None:
+            raise ValueError("polynomial input needs the algebra")
+        ctx = alg
+        if a.is_zero():
+            raise ZeroElement("weight of the zero polynomial is undefined")
+
+        def act(i):
+            return ad_action_sym(alg, i, a)
+    field = ctx.field
+    ref = max(a.terms, key=deglex_key)
+    ref_coeff = a.terms[ref]
     weights = []
-    for i in range(alg.n):
-        b = ad_action_sym(alg, i, f)
+    for i in range(ctx.n):
+        b = act(i)
         if b.is_zero():
-            weights.append(_scalar_from_int(alg.field, 0))
+            weights.append(field.scalar(0))
             continue
         num = b.terms.get(ref)
         if num is None:
             return None
-        lam = num / ref_coeff
-        if b != f.scale(lam):
+        lam = _divide(field, num, ref_coeff)
+        if b != a.scale(lam):
             return None
         weights.append(lam)
     return tuple(weights)

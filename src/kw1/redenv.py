@@ -67,7 +67,12 @@ class ReducedEnvelopingAlgebra:
             product(range(alg.p), repeat=alg.n), key=deglex_key
         )
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self._xi_point = tuple(c**alg.p for c in chi.chi)
+        # xi_i specializes to chi_i^p: an FFElem over F_{p^e}, e > 1, and
+        # an int residue over F_p, where the coordinates are evaluated in ints
+        if self.field.e > 1:
+            self._xi_point = tuple(c**alg.p for c in chi.chi)
+        else:
+            self._xi_point = tuple(pow(self.field.scalar(c), alg.p, alg.p) for c in chi.chi)
         self._memo = {}
 
     def _symbolic_left_action(self, i, mono):
@@ -77,20 +82,23 @@ class ReducedEnvelopingAlgebra:
         hit = cache.get(key)
         if hit is None:
             gen_mono = tuple(1 if k == i else 0 for k in range(self.alg.n))
-            elem = UEElement(self.alg, dict(_mono_times_mono(self.alg, gen_mono, mono)))
+            elem = UEElement._reduced(self.alg, _mono_times_mono(self.alg, gen_mono, mono))
             hit = zp_coordinates(elem, self.alg).coordinates
             cache[key] = hit
         return hit
 
-    def left_action_column(self, i, mono):
-        """Coordinates of x_i . x^mono in the reduced basis at this chi."""
+    def _at_chi(self, coords):
+        """Specialize zp coordinates at chi; drops the coordinates that vanish."""
         out = {}
-        for m, poly in self._symbolic_left_action(i, mono).items():
+        for m, poly in coords.items():
             val = poly.evaluate(self._xi_point)
-            val = self.field.embed(val) if val.field is not self.field else val
             if val:
                 out[m] = val
         return out
+
+    def left_action_column(self, i, mono):
+        """Coordinates of x_i . x^mono in the reduced basis at this chi."""
+        return self._at_chi(self._symbolic_left_action(i, mono))
 
     def multiply(self, m1, m2):
         """Product of basis monomials as a sparse map, straighten then reduce."""
@@ -98,14 +106,8 @@ class ReducedEnvelopingAlgebra:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        elem = UEElement(self.alg, dict(_mono_times_mono(self.alg, m1, m2)))
-        coords = zp_coordinates(elem, self.alg).coordinates
-        out = {}
-        for m, poly in coords.items():
-            val = poly.evaluate(self._xi_point)
-            val = self.field.embed(val) if val.field is not self.field else val
-            if val:
-                out[m] = val
+        elem = UEElement._reduced(self.alg, _mono_times_mono(self.alg, m1, m2))
+        out = self._at_chi(zp_coordinates(elem, self.alg).coordinates)
         self._memo[key] = out
         return out
 

@@ -170,3 +170,48 @@ def test_semilinearity_on_commuting_pairs():
                     + b**alg.p * ext.embed(alg.restricted.vector(j)[k])
                 )
             assert [c.coeffs for c in combined] == [c.coeffs for c in expected]
+
+
+# alg.signature() at p = 3, 5, 7, as computed when structure constants were
+# prime-field FFElem objects.  Every RNG stream is derived from it, and so is
+# the KW1_CACHE_DIR memo file name, so a change of scalar representation must
+# leave it alone.
+PINNED_SIGNATURES = {
+    "abelian:2": (0x2a20da301c7621b8, 0x2ae379ca75a48ac6, 0x622fb8c17a2287fb),
+    "abelian:4": (0x7a62faa4718e1847, 0x6ba556a397aa69d5, 0x6ba60f7e79f53f60),
+    "nonabelian2": (0x44acfccfa5d59382, 0x48a39b0b7e054ed4, 0x769fd3fdb4a107f8),
+    "heisenberg": (0x7f32f4d82406c3c8, 0x4311d905562e6ec9, 0x4b5ebdb39271361e),
+    "sl2": (0x011bdd5ae9e9fcfb, 0x02526d54d4ea0fcf, 0x775402527a354ce9),
+    "gl2": (0x5dd97de75bf21644, 0x091f0fd8bb50bcc8, 0x5a2ac5d921da4324),
+    "borel2": (0x52083d8154d54047, 0x587a158313e2a2f5, 0x2bd9db7f4fb8a3aa),
+    "remark:1:1": (0x11d8ce6e0aab1e14, 0x523c92e3fc24009f, 0x7c4019420b3367d8),
+    "remark:1:2": (0x509324c2b89a79b7, 0x0e504416e88fe20c, 0x76e01c28be19128e),
+    "remark:2:3": (0x7f82c726d6882801, 0x2a969f63976ff619, 0x6b00ef12fb02e98a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIGNATURES))
+def test_signature_pinned(name):
+    got = tuple(with_p_map(base_change_mod_p(get_example(name), p)).signature()
+                for p in (3, 5, 7))
+    assert got == PINNED_SIGNATURES[name]
+
+
+def test_structure_constants_and_p_map_are_int_residues():
+    alg = with_p_map(base_change_mod_p(get_example("sl2"), 5))
+    for i in range(alg.n):
+        for j in range(alg.n):
+            for c in alg.bracket(i, j).values():
+                assert type(c) is int and 1 <= c < alg.p
+        assert all(type(c) is int and 0 <= c < alg.p for c in alg.restricted.vector(i))
+
+
+def test_jacobi_self_check_after_reduction(monkeypatch, capsys):
+    monkeypatch.setattr(
+        liealg, "validate_presentation", lambda ctx: [(0, 1, 2, {2: 1})]
+    )
+    with pytest.raises(SelfCheckFailure, match="Jacobi broke"):
+        base_change_mod_p(get_example("sl2"), 3)
+    assert main(["check", "--example", "sl2", "--primes", "3"]) == 3
+    # the KW1Error branch prints the message, not the exception repr
+    assert "kw1: internal error: Jacobi broke after reduction mod 3" in capsys.readouterr().err

@@ -18,9 +18,11 @@ from kw1.cli import _prepare
 from kw1.liealg import index_generic
 from kw1.pbw import (
     UEElement,
+    load_memo,
     pbw_bracket,
     pbw_multiply,
     principal_symbol,
+    save_memo,
     semi_invariant_weight,
     sym_from_element,
     symmetrize,
@@ -221,3 +223,42 @@ def test_base_change_preserves_validation():
         for p in (2, 3, 5):
             alg = base_change_mod_p(pres, p)
             assert validate_presentation(alg) == []
+
+
+BUILTINS = SUITE + ("abelian:4", "gl2", "borel2", "remark:2:3")
+
+
+def _assert_residues(terms, p, where):
+    for c in terms.values():
+        assert type(c) is int and 1 <= c < p, (where, c)
+
+
+def _assert_memo_residues(alg):
+    for key, value in alg._pbw_memo.items():
+        if not isinstance(key, str):
+            _assert_residues(value, alg.p, key)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_prime_field_scalars_are_int_residues(p, tmp_path):
+    # over F_p every stored coefficient is a plain int in [1, p): in
+    # elements, in zp coordinate polynomials and in the straightening memo
+    rng = random.Random(8000 + p)
+    cases = 0
+    for name in BUILTINS:
+        alg = _prepare(get_example(name), p, None)
+        for _ in range(4):
+            a = random_element(alg, rng)
+            b = random_element(alg, rng)
+            for el in (a, pbw_multiply(a, b), pbw_bracket(a, b), a - b, -a):
+                _assert_residues(el.terms, p, name)
+                for poly in zp_coordinates(el, alg).coordinates.values():
+                    _assert_residues(poly.terms, p, name)
+                cases += 1
+        _assert_memo_residues(alg)
+        path = tmp_path / f"{name.replace(':', '-')}.pkl"
+        count = save_memo(alg, path)
+        fresh = _prepare(get_example(name), p, None)
+        assert load_memo(fresh, path) == count
+        _assert_memo_residues(fresh)
+    assert cases >= 100

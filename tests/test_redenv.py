@@ -5,7 +5,7 @@ import pytest
 
 from kw1 import matops, redenv
 from kw1.cli import main
-from kw1.errors import DimensionCap, SelfCheckFailure
+from kw1.errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure
 from kw1.fields import galois_field, prime_field
 from kw1.matops import ops_for
 from kw1.redenv import (
@@ -307,3 +307,23 @@ def test_oracle_values(make_algebra, name, p, expected):
     est = max_irreducible_dim(alg, samples=10, seed=0)
     assert est.m_est == expected
     assert not est.degraded
+
+
+def test_prime_ops_rejects_extension_fields():
+    # an explicit raise, so the check survives python -O
+    with pytest.raises(CoefficientFieldMismatch, match="prime field"):
+        matops.PrimeOps(galois_field(3, 2))
+    assert matops.PrimeOps(prime_field(3)).p == 3
+
+
+def test_prime_character_coordinates_are_int_residues(make_algebra):
+    alg = make_algebra("sl2", 3)
+    u = reduced_algebra(alg, chi_of(alg, 1, 2, 0))
+    for i in range(alg.n):
+        for mono in u.monomials:
+            for c in u.left_action_column(i, mono).values():
+                assert type(c) is int and 1 <= c < alg.p
+    ext = galois_field(3, 2)
+    v = reduced_algebra(alg, chi_of(alg, 1, 2, 0, field=ext))
+    for c in v.left_action_column(1, u.monomials[5]).values():
+        assert c.field is ext
