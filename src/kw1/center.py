@@ -8,6 +8,11 @@ over the fraction field of the p-center are obtained by specializing
 the formal xi variables at random points of a large enough extension
 (three tries, maximum rank), so every reported rank is an attained
 lower bound that equals the true rank with Schwartz-Zippel confidence.
+The coordinate terms are gathered once per rank into index arrays (row,
+column, xi-monomial, coefficient); at each point every distinct
+xi-monomial is evaluated once, as an F_p coefficient vector, and the
+terms are scatter-added into a (rows, cols, e) array that is ranked by
+the blocked F_p kernel of ``linalg``.
 
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
@@ -17,14 +22,16 @@ canonical basis is in reduced echelon form over monomials in
 reverse-deglex order, so the elements of degree <= D-1 are exactly the
 canonical basis of the D-1 slice.  It also returns the rank over the
 p-center at D, with its specialization field, so ``kw1_verdict`` ranks
-the center once.
+the center once.  The commutator matrix is filled in increasing degree
+by the derivation rule [x_i, x^b x_j] = [x_i, x^b] x_j + x^b [x_i, x_j]
+(j the last letter), so each column costs one straightening step per
+term of a column already built, not a full product.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dfield
-from math import comb
 
 import numpy as np
 
@@ -54,6 +61,8 @@ from .pbw import (
 from .util import deglex_key, derive_seed, monomial_count, monomials_upto, sz_extension_degree
 
 MONOMIAL_CAP = 20000
+# bytes of the dense commutator matrix plus the copy its nullspace reduces
+MATRIX_BYTES_CAP = 1 << 30
 RANK_TRIALS = 3
 PRODUCT_ROUNDS = 3
 
@@ -131,15 +140,6 @@ class ZpCoordinateVector:
                 total = term if total is None else total + term
         return total if total is not None else UEElement(alg, {})
 
-    def specialize(self, point):
-        """Evaluate all xi polynomials at a tuple of field elements."""
-        return {mono: poly.evaluate(point) for mono, poly in self.coordinates.items()}
-
-    def max_xi_degree(self) -> int:
-        degs = [poly.total_degree for poly in self.coordinates.values()
-                if not poly.is_zero()]
-        return max(degs) if degs else 0
-
 
 def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
     """Eliminate every exponent >= p by the rewrite x_i^p = xi_i + x_i^[p].
@@ -208,26 +208,73 @@ class CenterBasis:
     _rank_cache: dict = dfield(default_factory=dict, repr=False, compare=False)
 
 
+def _check_matrix_budget(n: int, count: int):
+    """Refuse a dense (n count) x count int64 matrix plus its RREF copy over the cap."""
+    nbytes = 2 * 8 * n * count * count
+    if nbytes > MATRIX_BYTES_CAP:
+        raise DegreeBoundTooLargeForMemory(
+            nbytes, MATRIX_BYTES_CAP, unit="bytes of commutator matrix"
+        )
+
+
+def _commutator_matrix(alg: ModularLieAlgebra, monos, index) -> np.ndarray:
+    """Stacked maps [x_i, -] on the span of ``monos``, all degrees <= some D.
+
+    Row i * count + index[m'] of column index[m] is the coefficient of x^m'
+    in [x_i, x^m].  Columns are built in increasing degree by the
+    derivation rule: with x^m = x^b x_j, j the last letter of m,
+    [x_i, x^m] = [x_i, x^b] x_j + x^b [x_i, x_j], both read off the column
+    of b through ``_mono_times_letter``.  Only the previous degree's
+    brackets are kept.
+    """
+    n, p = alg.n, alg.p
+    count = len(monos)
+    rows, cols, vals = [], [], []
+    prev, cur, deg = {}, {}, 0
+    for m in sorted(monos, key=deglex_key):
+        d = sum(m)
+        if d != deg:
+            prev, cur, deg = cur, {}, d
+        if d == 0:
+            cur[m] = [{}] * n
+            continue
+        j = max(k for k in range(n) if m[k])
+        base = tuple(a - 1 if k == j else a for k, a in enumerate(m))
+        col = index[m]
+        brackets = []
+        for i in range(n):
+            out = {}
+            get = out.get
+            for m2, c2 in prev[base][i].items():
+                for m3, c3 in _mono_times_letter(alg, m2, j).items():
+                    out[m3] = get(m3, 0) + c2 * c3
+            for l, cl in alg.bracket(i, j).items():
+                for m3, c3 in _mono_times_letter(alg, base, l).items():
+                    out[m3] = get(m3, 0) + cl * c3
+            out = reduce_sparse(out, p)
+            brackets.append(out)
+            offset = i * count
+            for m3, c in out.items():
+                rows.append(offset + index[m3])
+                cols.append(col)
+                vals.append(c)
+        cur[m] = brackets
+    mat = np.zeros((n * count, count), dtype=np.int64)
+    mat[rows, cols] = vals
+    return mat
+
+
 def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
     """Exact nullspace of the stacked commutator maps on degree <= bound."""
     n = alg.n
     count = monomial_count(n, bound)
     if count > cap:
         raise DegreeBoundTooLargeForMemory(count, cap)
+    _check_matrix_budget(n, count)
     monos = sorted(monomials_upto(n, bound), key=deglex_key, reverse=True)
     index = {m: k for k, m in enumerate(monos)}
     p = alg.p
-    # operator rows: for each generator i and target monomial m', the
-    # coefficient of m' in [x_i, x^m]; brackets do not raise the degree
-    mat = np.zeros((n * count, count), dtype=np.int64)
-    gens = [ue_gen(alg, i) for i in range(n)]
-    for col, m in enumerate(monos):
-        elem = ue_monomial(alg, m)
-        for i in range(n):
-            br = pbw_bracket(gens[i], elem)
-            for m2, c in br.terms.items():
-                mat[i * count + index[m2], col] = int(c)
-    basis = linalg.nullspace_modp(mat, p)
+    basis = linalg.nullspace_modp(_commutator_matrix(alg, monos, index), p)
     if basis.shape[0] == 0:
         return []
     # canonicalize: reduced echelon form with leading monomials as pivots
@@ -238,6 +285,7 @@ def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
         if terms:
             elements.append(UEElement._reduced(alg, terms))
     # exact recheck after the solve: every basis vector really is central
+    gens = [ue_gen(alg, i) for i in range(n)]
     for el in elements:
         for i in range(n):
             if not pbw_bracket(gens[i], el).is_zero():
@@ -286,32 +334,113 @@ def _specialization_field(alg, deg_bound, seed, min_ext=1):
     return field
 
 
+class _CoordinateTerms:
+    """Every term of a list of coordinate maps, gathered once into index arrays.
+
+    Row r of the matrix is ``maps[r]``, column c the reduced monomial
+    ``columns[c]``, and the entry the polynomial ``maps[r][columns[c]]``.
+    Term t adds ``coef[t] * xi^exponents[mono[t]]`` to entry
+    (row[t], col[t]), so a specialization evaluates each distinct
+    xi-monomial once and scatters the products.
+    """
+
+    def __init__(self, maps, num_vars: int):
+        self.columns = sorted({m for c in maps for m in c}, key=deglex_key)
+        col_index = {m: k for k, m in enumerate(self.columns)}
+        mono_ids: dict = {}
+        row, col, mono, coef = [], [], [], []
+        for r, coords in enumerate(maps):
+            for m, poly in coords.items():
+                c = col_index[m]
+                for xi, a in poly.terms.items():
+                    row.append(r)
+                    col.append(c)
+                    mono.append(mono_ids.setdefault(xi, len(mono_ids)))
+                    coef.append(a)
+        self.shape = (len(maps), len(self.columns))
+        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(-1, num_vars)
+        self.row = np.array(row, dtype=np.intp)
+        self.col = np.array(col, dtype=np.intp)
+        self.mono = np.array(mono, dtype=np.intp)
+        self.coef = np.array(coef, dtype=np.int64)
+
+    @property
+    def max_degree(self) -> int:
+        """Largest total xi-degree of a term; 0 without terms."""
+        return int(self.exponents.sum(axis=1).max(initial=0))
+
+    def values(self, point, field: GF) -> np.ndarray:
+        """(rows, cols, e) coefficient array of the matrix at ``point``.
+
+        ``point`` holds one ``FFElem`` of ``field`` per xi variable.
+        """
+        p, e = field.p, field.e
+        at = np.array([x.coeffs for x in point], dtype=np.int64)
+        # powers[a, i] = point[i]^a, then each monomial as a product of powers
+        powers = np.zeros((int(self.exponents.max(initial=0)) + 1,) + at.shape, dtype=np.int64)
+        powers[0, :, 0] = 1
+        for a in range(1, len(powers)):
+            powers[a] = _field_mul(powers[a - 1], at, field)
+        vals = powers[self.exponents[:, 0], 0]
+        for i in range(1, at.shape[0]):
+            vals = _field_mul(vals, powers[self.exponents[:, i], i], field)
+        out = np.zeros(self.shape + (e,), dtype=np.int64)
+        np.add.at(out, (self.row, self.col), vals[self.mono] * self.coef[:, None] % p)
+        return out % p
+
+    def rank(self, point, field: GF) -> int:
+        return linalg.rank_coefficient_array(self.values(point, field), field)
+
+
+def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
+    """Products of F_{p^e} elements stored as coefficient vectors on the last axis."""
+    p, e = field.p, field.e
+    if e == 1:
+        return a * b % p
+    full = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * e - 1,), dtype=np.int64)
+    for i in range(e):
+        full[..., i:i + e] += a[..., i:i + 1] * b
+    full %= p
+    # fold t^e .. t^(2e-2) through the reduction table
+    red = np.array(field._red, dtype=np.int64)
+    return (full[..., :e] + full[..., e:] @ red) % p
+
+
 def _rows_rank(alg, vectors, seed, min_ext=1):
     """Max specialized rank of zp coordinate rows over three random points."""
-    live = [v for v in vectors if v.coordinates]
+    live = [v.coordinates for v in vectors if v.coordinates]
     if not live:
         return 0, prime_field(alg.p)
-    columns = sorted({m for v in live for m in v.coordinates}, key=deglex_key)
-    col_index = {m: k for k, m in enumerate(columns)}
-    deg = max(v.max_xi_degree() for v in live)
-    field = _specialization_field(alg, deg, seed, min_ext)
+    terms = _CoordinateTerms(live, alg.n)
+    field = _specialization_field(alg, terms.max_degree, seed, min_ext)
     rng = random.Random(derive_seed("specialize", alg.signature(), seed))
-    zero = field.zero if field.e > 1 else 0
     best = 0
     for _ in range(RANK_TRIALS):
-        point = tuple(field.random_nonzero(rng) for _ in range(alg.n))
-        if field.e == 1:
-            point = tuple(int(x) for x in point)  # F_p scalars are int residues
-        rows = []
-        for v in live:
-            row = [zero] * len(columns)
-            for mono, val in v.specialize(point).items():
-                row[col_index[mono]] = val
-            rows.append(row)
-        best = max(best, linalg.rank(rows, field))
-        if best == min(len(live), len(columns)):
+        point = [field.random_nonzero(rng) for _ in range(alg.n)]
+        best = max(best, terms.rank(point, field))
+        if best == min(terms.shape):
             break
     return best, field
+
+
+def _new_products(frontier, gens, seen, commuting_square=False):
+    """Nonzero products a * b, a in ``frontier``, b in ``gens``, not in ``seen``.
+
+    Each new product's key is added to ``seen``.  With ``commuting_square``
+    the frontier is ``gens`` itself and its elements commute, so
+    b * a = a * b: only pairs with b at or after a are formed, which yields
+    the same list in the same order as the full double loop.
+    """
+    new_items = []
+    for k, a in enumerate(frontier):
+        for b in gens[k:] if commuting_square else gens:
+            prod = a * b
+            key = frozenset(prod.terms.items())
+            if key in seen or prod.is_zero():
+                continue
+            seen.add(key)
+            new_items.append(prod)
+    return new_items
 
 
 def _rank_of_elements(alg, elements, seed, min_ext=1):
@@ -319,24 +448,18 @@ def _rank_of_elements(alg, elements, seed, min_ext=1):
 
     Closes under products of at most two factors per round, at most
     PRODUCT_ROUNDS rounds, stopping as soon as the specialized rank
-    stops growing.  Returns (rank, specialization field).
+    stops growing.  The elements are central, so round one forms each
+    unordered pair once.  Returns (rank, specialization field).
     """
     one = ue_one(alg)
     pool = [one] + [el for el in elements if not el.is_zero()]
-    seen = {frozenset(el.terms.items()): el for el in pool}
+    seen = {frozenset(el.terms.items()) for el in pool}
     vectors = [zp_coordinates(el, alg) for el in pool]
     r, field = _rows_rank(alg, vectors, seed, min_ext)
-    frontier = pool[1:]
-    for _ in range(PRODUCT_ROUNDS):
-        new_items = []
-        for a in frontier:
-            for b in pool[1:]:
-                prod = a * b
-                key = frozenset(prod.terms.items())
-                if key in seen or prod.is_zero():
-                    continue
-                seen[key] = prod
-                new_items.append(prod)
+    gens = pool[1:]
+    frontier = gens
+    for rnd in range(PRODUCT_ROUNDS):
+        new_items = _new_products(frontier, gens, seen, commuting_square=(rnd == 0))
         if not new_items:
             break
         vectors.extend(zp_coordinates(el, alg) for el in new_items)
@@ -478,28 +601,16 @@ def rank_over_frobenius_subring(
     seen = {frozenset(g.terms.items()) for g in pool}
 
     def rows_rank(items, rnd_seed):
-        coords = [_frobenius_coordinates(f, p) for f in items]
-        columns = sorted({m for c in coords for m in c}, key=deglex_key)
-        if not columns:
+        terms = _CoordinateTerms([_frobenius_coordinates(f, p) for f in items], num_vars)
+        if not terms.columns:
             return 0
-        col_index = {m: k for k, m in enumerate(columns)}
-        deg = max(
-            (poly.total_degree for c in coords for poly in c.values() if not poly.is_zero()),
-            default=0,
-        )
-        e = sz_extension_degree(p, num_vars, max(1, deg))
+        e = sz_extension_degree(p, num_vars, max(1, terms.max_degree))
         ext = galois_field(p, e, seed=derive_seed("frob-field", p, e, rnd_seed))
         rng = random.Random(derive_seed("frob-points", p, num_vars, rnd_seed))
         best = 0
         for _ in range(RANK_TRIALS):
-            point = tuple(ext.random_nonzero(rng) for _ in range(num_vars))
-            rows = []
-            for c in coords:
-                row = [ext.zero] * len(columns)
-                for mono, poly in c.items():
-                    row[col_index[mono]] = poly.evaluate(point)
-                rows.append(row)
-            best = max(best, linalg.rank(rows, ext))
+            point = [ext.random_nonzero(rng) for _ in range(num_vars)]
+            best = max(best, terms.rank(point, ext))
         return best
 
     r = rows_rank(pool, seed)

@@ -25,6 +25,7 @@ from .center import (
     rank_over_p_center,
 )
 from .errors import (
+    DegreeBoundTooLargeForMemory,
     DenominatorDivisibleByP,
     DimensionCap,
     DuplicateLabel,
@@ -46,6 +47,7 @@ _INPUT_ERRORS = (
     JacobiError,
     DenominatorDivisibleByP,
     DimensionCap,
+    DegreeBoundTooLargeForMemory,
     ValueError,
 )
 

@@ -63,12 +63,12 @@ class WeightMismatch(KW1Error):
 
 
 class DegreeBoundTooLargeForMemory(KW1Error):
-    """Monomial count for the requested degree bound exceeds the cap."""
+    """The monomial count, or the bytes of the commutator matrix, exceeds its cap."""
 
-    def __init__(self, count, cap):
+    def __init__(self, count, cap, unit="monomials"):
         self.count = count
         self.cap = cap
-        super().__init__(f"{count} monomials exceed the configured cap of {cap}")
+        super().__init__(f"{count} {unit} exceed the configured cap of {cap}")
 
 
 class StabilizationNotReached(KW1Error):

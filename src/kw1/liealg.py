@@ -282,7 +282,7 @@ def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
         y = _solve_inner_derivation(alg, target)
         if y is None:
             raise NotRestrictable(i, alg.labels[i])
-        rows.append(tuple(int(c) for c in y))
+        rows.append(tuple(y))
     return RestrictedStructure(rows=tuple(rows))
 
 

@@ -7,8 +7,10 @@ Three backends share one interface:
   row operations (this is the hot path for center computations);
 * extensions: every rank goes through one vectorized kernel that embeds
   each F_{p^e} entry as its e x e multiplication matrix over F_p and
-  eliminates the blown-up matrix in place.  Nullspaces and solves over
-  extensions use elementwise FFElem elimination.
+  eliminates the blown-up matrix in place; ``rank_coefficient_array``
+  takes the entries straight as a (rows, cols, e) int64 array.
+  Nullspaces and solves over extensions use elementwise FFElem
+  elimination.
 
 All results are exact; there is no floating point.
 """
@@ -184,17 +186,28 @@ def solve_ff(rows, b, field: GF):
     return x
 
 
+def _coefficients(rows) -> np.ndarray:
+    """The (rows, cols, e) int64 coefficient array of rows of ``FFElem``."""
+    return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int64)
+
+
 def blocked_matrix(rows, field: GF) -> np.ndarray:
+    """``blocked_coefficients`` of rows of ``FFElem``."""
+    return blocked_coefficients(_coefficients(rows), field)
+
+
+def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
     """F_p form of a matrix over F_{p^e}, by the regular representation.
 
-    Entry a becomes the e x e block of multiplication by a, whose entry
-    [i][j] is coefficient i of a * t^j (as in ``GF.mul_matrix``).  Column j
-    of every block is written at once, straight into the final layout, from
-    the coefficient array of a * t^j: a shift folded through the reduction
-    table.
+    ``coeffs`` is the (rows, cols, e) int64 array of entry coefficients,
+    reduced mod p.  Entry a becomes the e x e block of multiplication by a,
+    whose entry [i][j] is coefficient i of a * t^j (as in
+    ``GF.mul_matrix``).  Column j of every block is written at once,
+    straight into the final layout, from the coefficient array of a * t^j:
+    a shift folded through the reduction table.
     """
     p, e = field.p, field.e
-    cur = np.array([[x.coeffs for x in row] for row in rows], dtype=np.int64)
+    cur = coeffs
     nrows, ncols = cur.shape[:2]
     big = np.empty((nrows * e, ncols * e), dtype=np.int64)
     # a view: blocks[r, i, c, j] is big[r * e + i, c * e + j]
@@ -209,15 +222,25 @@ def blocked_matrix(rows, field: GF) -> np.ndarray:
     return big
 
 
-def rank_ext_blocked(rows, field: GF) -> int:
-    """Rank over F_{p^e}: the F_p-rank of ``blocked_matrix`` is e times it."""
-    if not rows or not rows[0]:
+def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
+    """Rank over F_{p^e} of a (rows, cols, e) coefficient array, any e >= 1.
+
+    The F_p-rank of ``blocked_coefficients`` is e times the rank.
+    """
+    if not coeffs.size:
         return 0
     e = field.e
-    r = len(_eliminate(blocked_matrix(rows, field), field.p, reduce_above=False))
+    r = len(_eliminate(blocked_coefficients(coeffs, field), field.p, reduce_above=False))
     if r % e:
         raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
     return r // e
+
+
+def rank_ext_blocked(rows, field: GF) -> int:
+    """Rank over F_{p^e} of rows of ``FFElem``, through ``rank_coefficient_array``."""
+    if not rows or not rows[0]:
+        return 0
+    return rank_coefficient_array(_coefficients(rows), field)
 
 
 # ---------------------------------------------------------------------------
@@ -262,27 +285,16 @@ def rank(rows, field) -> int:
     return rank_ext_blocked(rows, field)
 
 
-def nullspace(rows, field):
-    """Right nullspace basis as lists of field elements."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return []
-    if field is QQ or getattr(field, "is_rational", False):
-        raise NotImplementedError("rational nullspace is not needed")
-    if field.e == 1:
-        basis = nullspace_modp(to_modp_array(rows, field.p), field.p)
-        return [[field.from_int(int(x)) for x in v] for v in basis]
-    return nullspace_ff(rows, field)
-
-
 def solve(rows, b, field):
-    """Canonical particular solution of rows . x = b, or None."""
+    """Canonical particular solution of rows . x = b, or None.
+
+    Over F_p the solution is a list of int residues, over F_{p^e} of
+    ``FFElem``.
+    """
     rows = [list(r) for r in rows]
     if field is QQ or getattr(field, "is_rational", False):
         raise NotImplementedError("rational solve is not needed")
     if field.e == 1:
         x = solve_modp(to_modp_array(rows, field.p), to_modp_array([b], field.p)[0], field.p)
-        if x is None:
-            return None
-        return [field.from_int(int(v)) for v in x]
+        return None if x is None else [int(v) for v in x]
     return solve_ff(rows, list(b), field)

@@ -18,10 +18,10 @@ from kw1.center import (
 )
 from kw1.cli import _prepare, main
 from kw1.errors import SelfCheckFailure, WeightMismatch
-from kw1.fields import prime_field
+from kw1.fields import galois_field, prime_field
 from kw1.registry import builtin_examples
 from kw1.pbw import SymPoly, pbw_bracket, ue_gen, ue_monomial, ue_one
-from kw1.util import monomials_upto
+from kw1.util import deglex_key, monomials_upto
 
 
 def test_p_center_generators_remark(make_algebra):
@@ -334,3 +334,140 @@ def test_nullspace_centrality_self_check(make_algebra, monkeypatch):
     with pytest.raises(SelfCheckFailure, match="exact centrality"):
         center_basis_bounded(make_algebra("heisenberg", 3), 1)
     assert main(["center", "--example", "heisenberg", "--prime", "3", "--degree-bound", "1"]) == 3
+
+
+# the commutator matrix, the gathered specialization and the round-1 products
+# are each checked against the straightforward computation they replace
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_commutator_matrix_matches_pbw_bracket(p):
+    for name, pres in builtin_examples().items():
+        alg = _prepare(pres, p, None)
+        n = alg.n
+        for bound in (1, 3):
+            monos = sorted(monomials_upto(n, bound), key=deglex_key, reverse=True)
+            index = {m: k for k, m in enumerate(monos)}
+            want = np.zeros((n * len(monos), len(monos)), dtype=np.int64)
+            for col, m in enumerate(monos):
+                for i in range(n):
+                    br = pbw_bracket(ue_gen(alg, i), ue_monomial(alg, m))
+                    for m2, c in br.terms.items():
+                        want[i * len(monos) + index[m2], col] = c
+            got = center._commutator_matrix(alg, monos, index)
+            assert np.array_equal(got, want), (name, p, bound)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5])
+def test_gathered_rows_match_evaluate(e):
+    rng = random.Random(40 + e)
+    for p, n in ((2, 2), (3, 3), (5, 2), (7, 4)):
+        base = prime_field(p)
+        field = galois_field(p, e, seed=e)
+        cols = [tuple(rng.randrange(p) for _ in range(n)) for _ in range(5)]
+        maps = [{}]  # a row without coordinates stays zero
+        for _ in range(4):
+            row = {}
+            for col in rng.sample(cols, rng.randrange(1, len(cols) + 1)):
+                terms = {
+                    tuple(rng.randrange(4) for _ in range(n)): rng.randrange(1, p)
+                    for _ in range(rng.randrange(1, 5))
+                }
+                row[col] = SymPoly(base, n, terms)
+            maps.append(row)
+        maps.append({cols[0]: SymPoly.one(base, n)})
+        terms = center._CoordinateTerms(maps, n)
+        for _ in range(3):
+            point = [field.random_nonzero(rng) for _ in range(n)]
+            got = terms.values(point, field)
+            assert got.shape == (len(maps), len(terms.columns), e)
+            rows = []
+            for r, row in enumerate(maps):
+                want = [
+                    row[col].evaluate(point) if col in row else field.zero
+                    for col in terms.columns
+                ]
+                assert [list(v) for v in got[r]] == [list(w.coeffs) for w in want]
+                rows.append(want)
+            assert terms.rank(point, field) == linalg.rank_ff(rows, field)
+
+
+def test_round_one_products_match_full_double_loop(make_algebra):
+    for name, p, bound in (("sl2", 3, 4), ("heisenberg", 3, 4), ("remark:1:2", 5, 6)):
+        alg = make_algebra(name, p)
+        gens = list(center_basis_bounded(alg, bound, seed=0).elements)
+        keys = {frozenset(el.terms.items()) for el in [ue_one(alg)] + gens}
+        want, want_seen = [], set(keys)
+        for a in gens:
+            for b in gens:
+                prod = a * b
+                key = frozenset(prod.terms.items())
+                if key not in want_seen and not prod.is_zero():
+                    want_seen.add(key)
+                    want.append(prod)
+        seen = set(keys)
+        got = center._new_products(gens, gens, seen, commuting_square=True)
+        assert len(want) > 0, name
+        assert got == want and seen == want_seen, name
+
+
+def test_verdict_ffelem_multiplications_bounded(make_algebra, monkeypatch):
+    """Specialization evaluates distinct xi-monomials, not coordinate terms."""
+    from kw1.fields import FFElem
+
+    counted = {"mul": 0}
+    real_mul = FFElem.__mul__
+
+    def mul(self, other):
+        counted["mul"] += 1
+        return real_mul(self, other)
+
+    monkeypatch.setattr(FFElem, "__mul__", mul)
+    monkeypatch.setattr(FFElem, "__rmul__", mul)
+    xi_monomials = set()
+    real_zp = center.zp_coordinates
+
+    def zp(a, alg):
+        vec = real_zp(a, alg)
+        for poly in vec.coordinates.values():
+            xi_monomials.update(poly.terms)
+        return vec
+
+    monkeypatch.setattr(center, "zp_coordinates", zp)
+    alg = make_algebra("sl2", 5)
+    rep = kw1_verdict(alg, seed=0)
+    assert rep.verdict == "verified" and rep.e > 1
+    assert counted["mul"] <= len(xi_monomials) * center.RANK_TRIALS * alg.n
+
+
+def test_matrix_budget_boundary():
+    from kw1.errors import DegreeBoundTooLargeForMemory
+
+    # one generator, 2^13 monomials: matrix and RREF copy are exactly 2^30 bytes
+    assert 2 * 8 * (2**13) ** 2 == center.MATRIX_BYTES_CAP
+    center._check_matrix_budget(1, 2**13)
+    with pytest.raises(DegreeBoundTooLargeForMemory) as info:
+        center._check_matrix_budget(1, 2**13 + 1)
+    assert info.value.count == 2 * 8 * (2**13 + 1) ** 2
+    assert info.value.cap == center.MATRIX_BYTES_CAP
+    assert "bytes" in str(info.value)
+
+
+def test_center_space_refuses_matrix_over_budget(make_algebra):
+    import tracemalloc
+
+    from kw1.errors import DegreeBoundTooLargeForMemory
+
+    # 17550 monomials pass the monomial cap; the matrix would need ~19.7 GB
+    alg = make_algebra("abelian:4", 3)
+    assert center.monomial_count(4, 23) <= center.MONOMIAL_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(DegreeBoundTooLargeForMemory, match="bytes"):
+            center_basis_bounded(alg, 23, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    args = ["center", "--example", "abelian:4", "--prime", "3", "--degree-bound", "23"]
+    assert main(args) == 1
