@@ -372,7 +372,11 @@ class _CoordinateTerms:
     def values(self, point, field: GF) -> np.ndarray:
         """(rows, cols, e) coefficient array of the matrix at ``point``.
 
-        ``point`` holds one ``FFElem`` of ``field`` per xi variable.
+        ``point`` holds one ``FFElem`` of ``field`` per xi variable.  int64:
+        each term is reduced below p before the scatter-add, so an entry
+        hit by T terms stays below T p.  T is at most the number of
+        gathered terms; inside ``linalg.require_exact_prime``, 2^63 / p
+        is over 3 * 10^9 terms, some 100 GB of index arrays.
         """
         p, e = field.p, field.e
         at = np.array([x.coeffs for x in point], dtype=np.int64)
@@ -393,17 +397,23 @@ class _CoordinateTerms:
 
 
 def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
-    """Products of F_{p^e} elements stored as coefficient vectors on the last axis."""
+    """Products of F_{p^e} elements stored as coefficient vectors on the last axis.
+
+    int64: every partial sum is reduced mod p before the next product of
+    two residues is added, so each step stays below p (p - 1), at any e.
+    """
     p, e = field.p, field.e
     if e == 1:
         return a * b % p
     full = np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1] + (2 * e - 1,), dtype=np.int64)
     for i in range(e):
         full[..., i:i + e] += a[..., i:i + 1] * b
-    full %= p
-    # fold t^e .. t^(2e-2) through the reduction table
-    red = np.array(field._red, dtype=np.int64)
-    return (full[..., :e] + full[..., e:] @ red) % p
+        full[..., i:i + e] %= p
+    # fold t^e .. t^(2e-2) through the reduction table, one power at a time
+    out = full[..., :e]
+    for k, row in enumerate(field._red):
+        out = (out + full[..., e + k, None] * np.array(row, dtype=np.int64)) % p
+    return out
 
 
 def _rows_rank(alg, vectors, seed, min_ext=1):
@@ -589,6 +599,7 @@ def rank_over_frobenius_subring(
     the same specialize-and-rank routine used for enveloping algebras;
     the answer is p^n divided by that rank.
     """
+    linalg.require_exact_prime(p)
     field = prime_field(p)
     gens = []
     for g in b_generators:

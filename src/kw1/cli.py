@@ -32,6 +32,7 @@ from .errors import (
     JacobiError,
     KW1Error,
     ParseError,
+    PrimeOutsideInt64Range,
 )
 from .fields import is_prime
 from .liealg import base_change_mod_p, index_generic, with_p_map
@@ -48,6 +49,7 @@ _INPUT_ERRORS = (
     DenominatorDivisibleByP,
     DimensionCap,
     DegreeBoundTooLargeForMemory,
+    PrimeOutsideInt64Range,
     ValueError,
 )
 

@@ -71,6 +71,18 @@ class DegreeBoundTooLargeForMemory(KW1Error):
         super().__init__(f"{count} {unit} exceed the configured cap of {cap}")
 
 
+class PrimeOutsideInt64Range(KW1Error):
+    """p is too large for the int64 kernels to stay exact."""
+
+    def __init__(self, p, largest):
+        self.p = p
+        self.largest = largest
+        super().__init__(
+            f"p={p} is above {largest}, the largest prime at which the int64 "
+            "kernels are exact (p (p - 1) < 2^63)"
+        )
+
+
 class StabilizationNotReached(KW1Error):
     """Product closure did not stabilize within the allowed rounds."""
 

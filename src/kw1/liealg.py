@@ -182,8 +182,11 @@ def base_change_mod_p(pres: LieAlgebraPresentation, p: int, e: int = 1) -> Modul
     """Reduce all structure constants into F_p; Jacobi is re-validated.
 
     Raises DenominatorDivisibleByP when some constant has denominator
-    divisible by p, the signal that p is too small for this presentation.
+    divisible by p, the signal that p is too small for this presentation,
+    and PrimeOutsideInt64Range when p is too large for the int64 kernels
+    (``linalg.require_exact_prime``).
     """
+    linalg.require_exact_prime(p)
     alg = ModularLieAlgebra(pres.name, pres.labels, p, pres.constants, e=e)
     bad = validate_presentation(alg)
     if bad:

@@ -13,6 +13,13 @@ Three backends share one interface:
   elimination.
 
 All results are exact; there is no floating point.
+
+int64 envelope: every kernel of the package that works on int64 residues
+mod p is exact while p (p - 1) < 2^63, that is p <= 3037000493 among
+primes (``LARGEST_EXACT_PRIME``), at every extension degree.  Each kernel
+states the bound it needs in its docstring; ``require_exact_prime`` is
+called where p enters the library (``liealg.base_change_mod_p`` and
+``center.rank_over_frobenius_subring``).
 """
 
 from __future__ import annotations
@@ -21,13 +28,29 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SelfCheckFailure
+from .errors import PrimeOutsideInt64Range, SelfCheckFailure
 from .fields import GF, FFElem, QQ
 
 
 # ---------------------------------------------------------------------------
 # prime field backend (numpy)
 # ---------------------------------------------------------------------------
+
+LARGEST_EXACT_PRIME = 3037000493
+
+
+def require_exact_prime(p: int) -> None:
+    """Raise ``PrimeOutsideInt64Range`` unless p (p - 1) < 2^63.
+
+    Below the bound a residue times a residue, plus a residue, fits in
+    int64, which is what ``_eliminate``, ``blocked_coefficients`` and
+    ``center._field_mul`` need; the matrix products of ``matops`` and
+    ``fastpoly`` need a factor of the inner dimension more, which their
+    small p leaves room for.
+    """
+    if p * (p - 1) >= 2**63:
+        raise PrimeOutsideInt64Range(p, LARGEST_EXACT_PRIME)
+
 
 def to_modp_array(rows, p: int) -> np.ndarray:
     """Rows of ints / FFElem (e == 1) / Fraction to an int64 array mod p."""
@@ -55,6 +78,10 @@ def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> list:
     which is enough for the rank.  When column c is processed, every row at
     or below the current pivot row is zero left of c, so each row operation
     touches only columns c and beyond.
+
+    int64: a scaled pivot row holds products of two residues, and an
+    updated entry lies in [-(p - 1)^2, p - 1], so it is exact while
+    (p - 1)^2 < 2^63, inside ``require_exact_prime``.
     """
     rows, cols = m.shape
     pivots = []
@@ -204,7 +231,8 @@ def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
     whose entry [i][j] is coefficient i of a * t^j (as in
     ``GF.mul_matrix``).  Column j of every block is written at once,
     straight into the final layout, from the coefficient array of a * t^j:
-    a shift folded through the reduction table.
+    a shift folded through the reduction table.  int64: each entry is one
+    residue plus a product of two, below p (p - 1).
     """
     p, e = field.p, field.e
     cur = coeffs

@@ -7,8 +7,19 @@ elementwise FFElem backend for extensions.  Vectors are 1-D, matrices
 
 Echelon states are kept in full reduced row echelon form with a pivot
 list, so submodule restriction and quotient coordinates can be read off
-entries directly.  The prime backend stores the echelon rows as one
-growing matrix and reduces new vectors with a single matrix product.
+entries directly.  The prime backend stores the echelon rows in the top
+of one int64 buffer whose row capacity doubles when it fills, capped at
+the width (the rank never exceeds it); the Krylov basis of
+``krylov_minpoly`` and its combination matrix grow the same way.  So a
+new row is written in place instead of re-stacking the matrix, and a
+wide echelon (the Burnside one has width d^2) allocates for its rank,
+never width x width up front.
+
+Every int64 product here sums k terms below (p - 1)^2, for an inner
+dimension k of at most the module dimension d (d^2 for the Burnside
+echelon), so it is exact while k (p - 1)^2 < 2^63.  The splitter only
+runs when p^n <= ``dim_cap`` (625 by default), so p and d are at most
+``dim_cap`` and the bound holds with room to spare.
 """
 
 from __future__ import annotations
@@ -23,14 +34,41 @@ from .fields import GF
 from .polys import pfactor
 
 
-class PrimeEchelon:
-    """Full-RREF basis over F_p, rows held in one int64 matrix."""
+_FIRST_ROWS = 8
 
-    __slots__ = ("p", "matrix", "pivots")
+
+def _with_room(buf, k):
+    """``buf`` if it has a row ``k``, else a copy with twice the rows.
+
+    The capacity is capped at the width: an echelon over F_p has at most
+    as many rows as columns.
+    """
+    if k < buf.shape[0]:
+        return buf
+    width = buf.shape[1]
+    grown = np.zeros((min(max(_FIRST_ROWS, 2 * buf.shape[0]), width), width), dtype=np.int64)
+    grown[:k] = buf[:k]
+    return grown
+
+
+def _clear_column(rows, col, v, p):
+    """Subtract col[i] * v from each row i with col[i] != 0, in place, mod p.
+
+    ``col`` may be a column of ``rows``: its entries are read before the write.
+    """
+    hit = col.nonzero()[0]
+    if hit.size:
+        rows[hit] = (rows[hit] - col[hit, None] * v) % p
+
+
+class PrimeEchelon:
+    """Full-RREF basis over F_p, rows held in the top of one int64 buffer."""
+
+    __slots__ = ("p", "_buf", "pivots")
 
     def __init__(self, p, width):
         self.p = p
-        self.matrix = np.zeros((0, width), dtype=np.int64)
+        self._buf = np.zeros((0, width), dtype=np.int64)
         self.pivots = []
 
     @property
@@ -39,29 +77,32 @@ class PrimeEchelon:
 
     @property
     def rows(self):
-        return self.matrix
+        """The basis rows: a read-only view of the buffer."""
+        view = self._buf[: len(self.pivots)]
+        view.flags.writeable = False
+        return view
 
     def reduce(self, v):
         v = v % self.p
         if self.pivots:
             coeffs = v[self.pivots]
             if coeffs.any():
-                v = (v - coeffs @ self.matrix) % self.p
+                v = (v - coeffs @ self._buf[: len(self.pivots)]) % self.p
         return v
 
     def insert(self, v):
         """Insert if independent; returns pivot column or None."""
         v = self.reduce(v)
-        nz = np.nonzero(v)[0]
+        nz = v.nonzero()[0]
         if nz.size == 0:
             return None
         piv = int(nz[0])
         v = (v * pow(int(v[piv]), -1, self.p)) % self.p
-        if self.pivots:
-            col = self.matrix[:, piv].copy()
-            if col.any():
-                self.matrix = (self.matrix - np.outer(col, v)) % self.p
-        self.matrix = np.vstack([self.matrix, v[None, :]])
+        k = len(self.pivots)
+        rows = self._buf[:k]
+        _clear_column(rows, rows[:, piv], v, self.p)
+        self._buf = _with_room(self._buf, k)
+        self._buf[k] = v
         self.pivots.append(piv)
         return piv
 
@@ -112,11 +153,8 @@ class PrimeOps:
             raise CoefficientFieldMismatch(f"PrimeOps needs a prime field, got {field!r}")
         self.field = field
         self.p = field.p
-
-    def from_rows(self, rows):
-        return np.array(
-            [[int(x) % self.p for x in row] for row in rows], dtype=np.int64
-        )
+        # polynomial coefficient tuple -> its irreducible factors
+        self._factors = {}
 
     def identity(self, d):
         return np.eye(d, dtype=np.int64)
@@ -136,8 +174,8 @@ class PrimeOps:
     def transpose(self, a):
         return a.T.copy()
 
-    def column(self, a, j):
-        return a[:, j].copy()
+    def submatrix(self, a, rows, cols=None):
+        return a[rows] if cols is None else a[rows][:, cols]
 
     def random_scalar(self, rng: random.Random):
         return rng.randrange(self.p)
@@ -183,43 +221,53 @@ class PrimeOps:
         """
         p = self.p
         d = r.shape[0]
-        matrix = np.zeros((0, d), dtype=np.int64)
-        pivots: list[int] = []
+        basis = np.zeros((0, d), dtype=np.int64)
         combos = np.zeros((0, d + 1), dtype=np.int64)
+        pivots: list[int] = []
         cur = v % p
         k = 0
         while True:
             combo = np.zeros(d + 1, dtype=np.int64)
             combo[k] = 1
-            w = cur % p
-            if pivots:
+            w = cur
+            if k:
                 coeffs = w[pivots]
                 if coeffs.any():
-                    w = (w - coeffs @ matrix) % p
-                    combo = (combo - coeffs @ combos) % p
-            nz = np.nonzero(w)[0]
+                    w = (w - coeffs @ basis[:k]) % p
+                    combo = (combo - coeffs @ combos[:k]) % p
+            nz = w.nonzero()[0]
             if nz.size == 0:
                 return [int(c) for c in combo[: k + 1]]
             piv = int(nz[0])
             inv = pow(int(w[piv]), -1, p)
             w = (w * inv) % p
             combo = (combo * inv) % p
-            if pivots:
-                col = matrix[:, piv].copy()
-                if col.any():
-                    matrix = (matrix - np.outer(col, w)) % p
-                    combos = (combos - np.outer(col, combo)) % p
-            matrix = np.vstack([matrix, w[None, :]])
+            col = basis[:k, piv].copy()  # the first clear rewrites that column
+            _clear_column(basis[:k], col, w, p)
+            _clear_column(combos[:k], col, combo, p)
+            basis = _with_room(basis, k)
+            combos = _with_room(combos, k)
+            basis[k] = w
+            combos[k] = combo
             pivots.append(piv)
-            combos = np.vstack([combos, combo[None, :]])
             cur = (r @ cur) % p
             k += 1
 
     def iter_factors(self, coeffs, rng: random.Random):
-        """Distinct irreducible factors of a polynomial, smallest degree first."""
-        f = fastpoly.from_ints(coeffs, self.p)
-        for irr in fastpoly.iter_irreducible_factors(f, self.p, rng):
-            yield [int(c) for c in irr]
+        """Distinct irreducible factors of a polynomial, smallest degree first.
+
+        Memoized per polynomial for the life of this object.  The factors
+        are a function of the polynomial alone (``fastpoly`` sorts each
+        equal-degree batch), so a later call yields the same list whatever
+        its ``rng``.  Factors are tuples, since every call shares them.
+        """
+        key = tuple(coeffs)
+        found = self._factors.get(key)
+        if found is None:
+            f = fastpoly.from_ints(coeffs, self.p)
+            found = [tuple(int(c) for c in irr) for irr in fastpoly.iter_irreducible_factors(f, self.p, rng)]
+            self._factors[key] = found
+        yield from found
 
 
 class ExtOps:
@@ -227,13 +275,6 @@ class ExtOps:
 
     def __init__(self, field: GF):
         self.field = field
-
-    def from_rows(self, rows):
-        f = self.field
-        return [
-            [x if getattr(x, "field", None) is f else f.embed(x) for x in row]
-            for row in rows
-        ]
 
     def identity(self, d):
         f = self.field
@@ -275,8 +316,10 @@ class ExtOps:
     def transpose(self, a):
         return [list(col) for col in zip(*a)]
 
-    def column(self, a, j):
-        return [row[j] for row in a]
+    def submatrix(self, a, rows, cols=None):
+        if cols is None:
+            return [list(a[i]) for i in rows]
+        return [[a[i][j] for j in cols] for i in rows]
 
     def random_scalar(self, rng):
         return self.field.random(rng)

@@ -18,6 +18,16 @@ one absolutely irreducible module of dimension d/s over F_{q^s}
 (Curtis-Reiner, section 29), so the factor is recorded as s such pieces
 without leaving F_q.  Odd s do occur (Artin-Schreier weight
 polynomials), so s is taken from the module, never assumed to be 2.
+
+The splitter does not repeat work.  One ``split_simples`` call uses one
+matrix backend for all its pieces, and ``max_irreducible_dim`` one per
+sampling field.  The prime-field backend factors each distinct minimal
+polynomial once and keeps the factors as long as the backend lives;
+there is no module-level cache.  Every RNG draw stays where it was,
+since the factors of a polynomial do not depend on the factoring RNG.
+A spin returns as soon as its span is the whole space, where no further
+vector could be accepted.  Restriction and quotient are one matrix
+product per generator.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from itertools import product
 from math import gcd
 
 from .center import zp_coordinates
-from .errors import DimensionCap, SelfCheckFailure, SplitBudgetExceeded
+from .errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure, SplitBudgetExceeded
 from .fields import GF, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
 from .matops import ops_for
@@ -174,48 +184,55 @@ def _random_algebra_element(ops, mats, d, rng):
 
 
 def _spin(ops, start_vectors, mats, width):
-    """Smallest subspace containing the starts and stable under all mats."""
+    """Smallest subspace containing the starts and stable under all mats.
+
+    Depth first from the last accepted vector; returns as soon as the
+    span is the whole space, since no later vector could be accepted.
+    """
     state = ops.new_echelon(width)
     queue = []
     for v in start_vectors:
         if state.insert(v) is not None:
             queue.append(v)
-    while queue:
+    while queue and state.dim < width:
         v = queue.pop()
         for a in mats:
             w = ops.matvec(a, v)
             if state.insert(w) is not None:
+                if state.dim == width:
+                    return state
                 queue.append(w)
     return state
 
 
 def _restrict(ops, mats, state):
-    """Action matrices on the submodule, in the echelon basis of ``state``."""
-    k = state.dim
-    out = []
-    for a in mats:
-        rows = [[None] * k for _ in range(k)]
-        for j, w in enumerate(state.rows):
-            u = ops.matvec(a, w)
-            for i, piv in enumerate(state.pivots):
-                rows[i][j] = u[piv]
-        out.append(ops.from_rows(rows))
-    return out
+    """Action matrices on the submodule, in the echelon basis of ``state``.
+
+    A sends basis row w_j into the span, and in full RREF the coordinate
+    of a span vector on w_i is its entry at pivot i, so the matrix is
+    A[pivots] . W^T for the basis matrix W.
+    """
+    basis_t = ops.transpose(state.rows)
+    return [ops.matmul(ops.submatrix(a, state.pivots), basis_t) for a in mats]
 
 
 def _quotient(ops, mats, state, d):
-    """Action matrices on the quotient by the submodule of ``state``."""
+    """Action matrices on the quotient by the submodule of ``state``.
+
+    The quotient has the non-pivot coordinates C as its basis.  Column c
+    of A, reduced by the echelon, is A[:, c] - W^T . A[pivots, c], so the
+    matrix is A[C, C] - W[:, C]^T . A[pivots, C].
+    """
     pivset = set(state.pivots)
     comp = [c for c in range(d) if c not in pivset]
-    out = []
-    for a in mats:
-        rows = [[None] * len(comp) for _ in range(len(comp))]
-        for j, c in enumerate(comp):
-            u = state.reduce(ops.column(a, c))
-            for i, cc in enumerate(comp):
-                rows[i][j] = u[cc]
-        out.append(ops.from_rows(rows))
-    return out
+    lift = ops.transpose(ops.submatrix(state.rows, range(state.dim), comp))
+    return [
+        ops.add(
+            ops.submatrix(a, comp, comp),
+            ops.scale(ops.matmul(lift, ops.submatrix(a, state.pivots, comp)), -1),
+        )
+        for a in mats
+    ]
 
 
 def _norton_attempt(ops, mats, d, rng):
@@ -310,22 +327,28 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
 
 
 def _algebra_dimension(ops, mats, d):
-    """Dimension of the unital matrix algebra generated by ``mats``."""
+    """Dimension of the unital matrix algebra generated by ``mats``.
+
+    A spin like ``_spin``, of the identity under left multiplication, and
+    like it done once the span is all d x d matrices.
+    """
     state = ops.new_echelon(d * d)
     queue = []
     ident = ops.identity(d)
     if state.insert(_flatten(ops, ident, d)) is not None:
         queue.append(ident)
-    while queue:
+    while queue and state.dim < d * d:
         m = queue.pop()
         for a in mats:
             prod = ops.matmul(a, m)
             if state.insert(_flatten(ops, prod, d)) is not None:
+                if state.dim == d * d:
+                    return state.dim
                 queue.append(prod)
     return state.dim
 
 
-def split_simples(module: AlgebraModule, seed: int = 0) -> SplitReport:
+def split_simples(module: AlgebraModule, seed: int = 0, ops=None) -> SplitReport:
     """Composition factor dimensions over the splitting field of each factor.
 
     Splitting stays on the module's own field F_q.  A factor that is
@@ -335,7 +358,15 @@ def split_simples(module: AlgebraModule, seed: int = 0) -> SplitReport:
     large for the Burnside count (``BURNSIDE_DIM_CAP``) while its
     good-factor degrees leave s open, so it contributes its F_q
     dimension, only an upper bound on the honest one.
+
+    ``ops`` is the matrix backend for ``module.field``; every piece of the
+    split lives on that field, so one backend, with its factor memo,
+    serves the whole call.  Built here when not given.
     """
+    if ops is None:
+        ops = ops_for(module.field)
+    elif ops.field != module.field:
+        raise CoefficientFieldMismatch(f"backend over {ops.field!r} for a module over {module.field!r}")
     rng = random.Random(derive_seed("meataxe", seed))
     dims = []
     factors = []
@@ -350,7 +381,6 @@ def split_simples(module: AlgebraModule, seed: int = 0) -> SplitReport:
             dims.append(1)
             factors.append((1, mod.field.order))
             continue
-        ops = ops_for(mod.field)
         outcome = None
         for _ in range(MAX_SPLIT_TRIES):
             outcome = _norton_attempt(ops, mod.mats, d, rng)
@@ -444,6 +474,7 @@ def max_irreducible_dim(
     expected = alg.p ** ((alg.n - ind) // 2)
 
     def run(field, tag):
+        ops = ops_for(field)
         best = 0
         witness = None
         seen = []
@@ -451,7 +482,7 @@ def max_irreducible_dim(
         for chi in _characters(alg, field, samples, rng):
             u = reduced_algebra(alg, chi, dim_cap=dim_cap)
             module = regular_representation(u)
-            report = split_simples(module, seed=derive_seed(tag, seed, chi.render()))
+            report = split_simples(module, seed=derive_seed(tag, seed, chi.render()), ops=ops)
             top = max(report.dims)
             degraded = degraded or report.degraded
             seen.append(top)

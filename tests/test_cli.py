@@ -297,3 +297,14 @@ def test_cache_dir_memo_spill(tmp_path, capsys, monkeypatch):
     ) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_check_refuses_a_prime_beyond_the_int64_envelope(tmp_path, capsys):
+    # int64 elimination overflowed here and reported index 0, "verified"
+    args = ["check", "--example", "sl2", "--degree-bound", "1"]
+    assert main(args + ["--primes", "4294967311"]) == 1
+    assert "3037000493" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    assert main(args + ["--primes", "3037000493", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["reports"][0]["ind"] == 1
+    assert main(["lemma1", "--nvars", "1", "--prime", "4294967311", "--gens", "x1"]) == 1

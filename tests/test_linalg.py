@@ -189,3 +189,46 @@ def test_prime_field_solve_returns_int_residues():
     sol = linalg.solve(rows, [4, 5], f7)
     assert all(type(x) is int for x in sol)
     assert sol == [1, 5, 0]
+
+
+# ---------------------------------------------------------------------------
+# the int64 envelope: p (p - 1) < 2^63
+# ---------------------------------------------------------------------------
+
+BELOW, ABOVE = 3037000493, 3037000507  # consecutive primes around 2^31.5
+
+
+def test_exact_prime_boundary_on_a_tiny_presentation():
+    from kw1.errors import PrimeOutsideInt64Range
+    from kw1.liealg import base_change_mod_p
+    from kw1.registry import get_example
+
+    assert BELOW == linalg.LARGEST_EXACT_PRIME
+    assert BELOW * (BELOW - 1) < 2**63 <= ABOVE * (ABOVE - 1)
+    pres = get_example("nonabelian2")
+    assert base_change_mod_p(pres, BELOW).p == BELOW
+    for p in (ABOVE, 4294967311):
+        with pytest.raises(PrimeOutsideInt64Range, match=str(BELOW)):
+            base_change_mod_p(pres, p)
+
+
+def test_kernels_exact_at_the_largest_prime():
+    from kw1.center import _field_mul
+
+    p = BELOW
+    # alternating and 3 x 3, so rank 2; past the envelope it came out 3
+    a = np.array([[0, 2, p - 2], [p - 2, 0, 1], [2, p - 1, 0]], dtype=np.int64)
+    assert linalg.rank_modp(a, p) == 2
+    rng = random.Random(9)
+    for e in (2, 3):
+        field = galois_field(p, e, seed=1)
+        xs = [field.random(rng) for _ in range(6)] + [field.elem([p - 1] * e)] * 2
+        ys = [field.random(rng) for _ in range(6)] + [field.elem([p - 1] * e), field.elem([p - 2] * e)]
+        got = _field_mul(
+            np.array([x.coeffs for x in xs], dtype=np.int64),
+            np.array([y.coeffs for y in ys], dtype=np.int64),
+            field,
+        )
+        assert [tuple(int(c) for c in row) for row in got] == [(x * y).coeffs for x, y in zip(xs, ys)]
+        rows = [[xs[0], xs[1]], [xs[0] * ys[2], xs[1] * ys[2]], [ys[3], ys[4]]]
+        assert linalg.rank_ext_blocked(rows, field) == linalg.rank_ff(rows, field)

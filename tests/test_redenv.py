@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from kw1 import matops, redenv
+from kw1 import linalg, matops, redenv
 from kw1.cli import main
 from kw1.errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure
 from kw1.fields import galois_field, prime_field
@@ -327,3 +327,232 @@ def test_prime_character_coordinates_are_int_residues(make_algebra):
     v = reduced_algebra(alg, chi_of(alg, 1, 2, 0, field=ext))
     for c in v.left_action_column(1, u.monomials[5]).values():
         assert c.field is ext
+
+
+# ---------------------------------------------------------------------------
+# the spin, restriction and quotient against their elementwise references
+# ---------------------------------------------------------------------------
+
+def spin_full_queue(ops, start_vectors, mats, width):
+    """Reference spin: depth first, runs until the queue is empty."""
+    state = ops.new_echelon(width)
+    queue = []
+    for v in start_vectors:
+        if state.insert(v) is not None:
+            queue.append(v)
+    while queue:
+        v = queue.pop()
+        for a in mats:
+            w = ops.matvec(a, v)
+            if state.insert(w) is not None:
+                queue.append(w)
+    return state
+
+
+def column(a, c):
+    return a[:, c].copy() if isinstance(a, np.ndarray) else [row[c] for row in a]
+
+
+def as_matrix(ops, rows):
+    if isinstance(ops, matops.PrimeOps):
+        return np.array([[int(x) % ops.p for x in row] for row in rows], dtype=np.int64)
+    return rows
+
+
+def restrict_elementwise(ops, mats, state):
+    """Reference restriction: each image read off at the pivots."""
+    k = state.dim
+    out = []
+    for a in mats:
+        rows = [[None] * k for _ in range(k)]
+        for j, w in enumerate(state.rows):
+            u = ops.matvec(a, w)
+            for i, piv in enumerate(state.pivots):
+                rows[i][j] = u[piv]
+        out.append(as_matrix(ops, rows))
+    return out
+
+
+def quotient_elementwise(ops, mats, state, d):
+    """Reference quotient: each column reduced by the echelon, one at a time."""
+    pivset = set(state.pivots)
+    comp = [c for c in range(d) if c not in pivset]
+    out = []
+    for a in mats:
+        rows = [[None] * len(comp) for _ in range(len(comp))]
+        for j, c in enumerate(comp):
+            u = state.reduce(column(a, c))
+            for i, cc in enumerate(comp):
+                rows[i][j] = u[cc]
+        out.append(as_matrix(ops, rows))
+    return out
+
+
+def same_matrix(ops, a, b):
+    if isinstance(ops, matops.PrimeOps):
+        return a.shape == b.shape and (a == b).all()
+    return a == b
+
+
+def random_fp_module(p, blocks, gens, rng):
+    """Block upper triangular action in a random basis: proper submodules exist.
+
+    Returns the action matrices and the basis; its first columns span the
+    submodule of the first block.
+    """
+    d = sum(blocks)
+    while True:
+        basis = rng.integers(0, p, (d, d))
+        red, pivots = linalg.rref_modp(np.concatenate([basis, np.eye(d, dtype=np.int64)], axis=1), p)
+        if pivots[:d] == list(range(d)):
+            break
+    inv = red[:, d:]
+    mats = []
+    for _ in range(gens):
+        t = rng.integers(0, p, (d, d))
+        start = 0
+        for size in blocks:
+            t[start + size:, start:start + size] = 0
+            start += size
+        mats.append((basis @ t % p) @ inv % p)
+    return mats, basis
+
+
+def reference_cases(make_algebra):
+    """(ops, mats, d, start vector lists) over F_p and F_{p^2}."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for p, blocks, gens in ((3, (4, 5), 2), (5, (3, 3, 6), 3), (7, (10, 2), 2), (2, (6, 6, 6), 2)):
+        mats, basis = random_fp_module(p, blocks, gens, rng)
+        ops = ops_for(prime_field(p))
+        d = sum(blocks)
+        starts = [
+            [basis[:, 0]],  # inside the first block: a proper submodule
+            [basis[:, blocks[0]]],
+            [rng.integers(0, p, d)],
+            [basis[:, 1], rng.integers(0, p, d)],
+        ]
+        cases.append((ops, mats, d, starts))
+    for name, p, values, e in (("sl2", 3, (1, 2, 0), 1), ("nonabelian2", 3, (0, 1), 2), ("heisenberg", 2, (1, 0, 1), 2)):
+        alg = make_algebra(name, p)
+        field = prime_field(p) if e == 1 else galois_field(p, e, seed=3)
+        chi = Character(tuple(field.elem([v, 1]) if e > 1 else field.from_int(v) for v in values))
+        module = regular_representation(reduced_algebra(alg, chi))
+        ops = ops_for(module.field)
+        d = module.dimension
+        r = random.Random(d)
+        starts = [[ops.random_vector(d, r)] for _ in range(3)] + [[ops.identity(d)[d - 1]]]
+        cases.append((ops, module.mats, d, starts))
+    return cases
+
+
+def test_spin_matches_full_queue_reference(make_algebra):
+    proper = full = 0
+    for ops, mats, d, starts in reference_cases(make_algebra):
+        for start in starts:
+            got = redenv._spin(ops, start, mats, d)
+            want = spin_full_queue(ops, start, mats, d)
+            assert got.pivots == want.pivots
+            assert same_matrix(ops, ops.stack(got.rows), ops.stack(want.rows))
+            proper += got.dim < d
+            full += got.dim == d
+    # both the early return at full width and a closed proper span occur
+    assert proper >= 4 and full >= 4
+
+
+def test_restrict_and_quotient_match_elementwise_reference(make_algebra):
+    checked = 0
+    for ops, mats, d, starts in reference_cases(make_algebra):
+        for start in starts:
+            state = redenv._spin(ops, start, mats, d)
+            if state.dim in (0, d):
+                continue
+            checked += 1
+            for got, want in zip(redenv._restrict(ops, mats, state), restrict_elementwise(ops, mats, state)):
+                assert same_matrix(ops, got, want)
+            quo = redenv._quotient(ops, mats, state, d)
+            for got, want in zip(quo, quotient_elementwise(ops, mats, state, d)):
+                assert same_matrix(ops, got, want)
+    assert checked >= 4
+
+
+# ---------------------------------------------------------------------------
+# the MeatAxe path, pinned
+# ---------------------------------------------------------------------------
+
+# (algebra, F_3 character, seed) -> factors in order, Norton attempts made.
+# Recorded before the factor memo, the early spin exit and the buffered
+# echelons went in; none of them may move the RNG stream.
+MEATAXE_PINS = (
+    (("remark:1:2", (0, 0, 0), 0), ((1, 3),) * 27, 27),
+    (("remark:1:2", (0, 0, 0), 1), ((1, 3),) * 27, 31),
+    (("remark:1:2", (1, 0, 0), 0), ((1, 27),) * 27, 19),
+    (("remark:1:2", (1, 0, 0), 1), ((1, 27),) * 27, 19),
+    (("remark:1:2", (1, 2, 0), 0), ((3, 3),) * 9, 20),
+    (("remark:1:2", (1, 2, 0), 1), ((3, 3),) * 9, 17),
+    (("nonabelian2", (0, 0), 0), ((1, 3),) * 9, 10),
+    (("nonabelian2", (0, 0), 1), ((1, 3),) * 9, 8),
+    (("nonabelian2", (1, 0), 0), ((1, 27),) * 9, 7),
+    (("nonabelian2", (1, 0), 1), ((1, 27),) * 9, 9),
+    (("nonabelian2", (2, 1), 0), ((3, 3),) * 3, 9),
+    (("nonabelian2", (2, 1), 1), ((3, 3),) * 3, 11),
+    (("sl2", (0, 0, 0), 0), ((2, 3), (2, 3), (1, 3), (1, 3), (1, 3), (3, 3), (1, 3), (2, 3),
+                             (3, 3), (2, 3), (1, 3), (2, 3), (3, 3), (2, 3), (1, 3)), 24),
+    (("sl2", (0, 0, 0), 1), ((1, 3), (3, 3), (2, 3), (2, 3), (1, 3), (1, 3), (2, 3), (3, 3),
+                             (1, 3), (2, 3), (1, 3), (2, 3), (1, 3), (2, 3), (3, 3)), 24),
+    (("sl2", (0, 1, 2), 0), ((3, 3), (3, 9), (3, 9), (3, 3), (3, 9), (3, 9), (3, 9), (3, 9), (3, 3)), 22),
+    (("sl2", (0, 1, 2), 1), ((3, 3), (3, 9), (3, 9), (3, 9), (3, 9), (3, 3), (3, 3), (3, 9), (3, 9)), 31),
+)
+
+
+def test_meataxe_path_pinned(make_algebra, monkeypatch):
+    attempts = []
+    real = redenv._norton_attempt
+
+    def counted(*args):
+        attempts.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(redenv, "_norton_attempt", counted)
+    modules = {}
+    for (name, values, seed), factors, tries in MEATAXE_PINS:
+        key = (name, values)
+        if key not in modules:
+            alg = make_algebra(name, 3)
+            modules[key] = regular_representation(reduced_algebra(alg, chi_of(alg, *values)))
+        attempts.clear()
+        report = split_simples(modules[key], seed=seed)
+        want = redenv.SplitReport(
+            dims=tuple(sorted(dim for dim, _order in factors)), factors=factors, degraded=False
+        )
+        assert report == want, (name, values, seed)
+        assert len(attempts) == tries, (name, values, seed)
+
+
+def test_one_backend_per_split_and_per_sampling_run(make_algebra, monkeypatch):
+    built = []
+    real = redenv.ops_for
+
+    def counted(field):
+        built.append(field)
+        return real(field)
+
+    monkeypatch.setattr(redenv, "ops_for", counted)
+    alg = make_algebra("sl2", 3)
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 0)))
+    assert len(split_simples(module).dims) > 2
+    assert built == [module.field]
+    built.clear()
+    # an index understated to 0 makes every F_2 sample of abelian:2 fall
+    # short of p^(n/2) = 2, so sampling escalates to F_4: one backend per field
+    monkeypatch.setattr(redenv, "index_generic", lambda alg, trials, seed: 0)
+    est = max_irreducible_dim(make_algebra("abelian:2", 2), samples=2, seed=0)
+    assert est.escalated_sampling and est.m_est == 1
+    assert [f.order for f in built] == [2, 4]
+
+
+def test_split_simples_rejects_a_backend_over_another_field(make_algebra):
+    alg = make_algebra("nonabelian2", 3)
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 1)))
+    with pytest.raises(CoefficientFieldMismatch, match="backend"):
+        split_simples(module, ops=ops_for(prime_field(5)))
