@@ -358,7 +358,7 @@ class _CoordinateTerms:
                     mono.append(mono_ids.setdefault(xi, len(mono_ids)))
                     coef.append(a)
         self.shape = (len(maps), len(self.columns))
-        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(-1, num_vars)
+        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(len(mono_ids), num_vars)
         self.row = np.array(row, dtype=np.intp)
         self.col = np.array(col, dtype=np.intp)
         self.mono = np.array(mono, dtype=np.intp)
@@ -379,14 +379,15 @@ class _CoordinateTerms:
         is over 3 * 10^9 terms, some 100 GB of index arrays.
         """
         p, e = field.p, field.e
-        at = np.array([x.coeffs for x in point], dtype=np.int64)
+        at = np.array([x.coeffs for x in point], dtype=np.int64).reshape(len(point), e)
         # powers[a, i] = point[i]^a, then each monomial as a product of powers
         powers = np.zeros((int(self.exponents.max(initial=0)) + 1,) + at.shape, dtype=np.int64)
         powers[0, :, 0] = 1
         for a in range(1, len(powers)):
             powers[a] = _field_mul(powers[a - 1], at, field)
-        vals = powers[self.exponents[:, 0], 0]
-        for i in range(1, at.shape[0]):
+        vals = np.zeros((len(self.exponents), e), dtype=np.int64)
+        vals[:, 0] = 1
+        for i in range(at.shape[0]):
             vals = _field_mul(vals, powers[self.exponents[:, i], i], field)
         out = np.zeros(self.shape + (e,), dtype=np.int64)
         np.add.at(out, (self.row, self.col), vals[self.mono] * self.coef[:, None] % p)

@@ -150,6 +150,18 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
+def _count(minimum):
+    """argparse type: an int no smaller than ``minimum``."""
+
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _parse_primes(text):
     try:
         return tuple(int(x) for x in text.split(",") if x.strip())
@@ -201,9 +213,9 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="full verdict pipeline over several primes")
     _add_source(check)
     check.add_argument("--primes", required=True, help="comma-separated primes")
-    check.add_argument("--ext", type=int, default=None, help="force extension degree")
-    check.add_argument("--degree-bound", type=int, default=None)
-    check.add_argument("--samples", type=int, default=10)
+    check.add_argument("--ext", type=_count(1), default=None, help="force extension degree")
+    check.add_argument("--degree-bound", type=_count(1), default=None)
+    check.add_argument("--samples", type=_count(1), default=10)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--oracle", action="store_true")
     check.add_argument("--format", default="json", choices=("json", "md", "csv"))
@@ -213,7 +225,7 @@ def build_parser() -> _Parser:
     _add_source(index)
     index.add_argument("--prime", type=int, default=None,
                        help="reduce mod p first (default: over the rationals)")
-    index.add_argument("--samples", type=int, default=3, help="random trials")
+    index.add_argument("--samples", type=_count(1), default=3, help="random trials")
     index.add_argument("--seed", type=int, default=0)
     index.add_argument("--out", default=None)
 
@@ -225,28 +237,28 @@ def build_parser() -> _Parser:
     center = sub.add_parser("center", help="degree-bounded center basis")
     _add_source(center)
     center.add_argument("--prime", type=int, required=True)
-    center.add_argument("--degree-bound", type=int, default=None)
+    center.add_argument("--degree-bound", type=_count(1), default=None)
     center.add_argument("--seed", type=int, default=0)
     center.add_argument("--out", default=None)
 
     rank = sub.add_parser("rank", help="rank of the center over the p-center")
     _add_source(rank)
     rank.add_argument("--prime", type=int, required=True)
-    rank.add_argument("--degree-bound", type=int, default=None)
+    rank.add_argument("--degree-bound", type=_count(1), default=None)
     rank.add_argument("--seed", type=int, default=0)
     rank.add_argument("--out", default=None)
 
     oracle = sub.add_parser("oracle", help="module-splitting estimate of M(g)")
     _add_source(oracle)
     oracle.add_argument("--prime", type=int, required=True)
-    oracle.add_argument("--samples", type=int, default=10)
+    oracle.add_argument("--samples", type=_count(1), default=10)
     oracle.add_argument("--seed", type=int, default=0)
     oracle.add_argument("--out", default=None)
 
     lemma1 = sub.add_parser(
         "lemma1", help="rank of a polynomial ring over B times p-th powers"
     )
-    lemma1.add_argument("--nvars", type=int, required=True)
+    lemma1.add_argument("--nvars", type=_count(0), required=True)
     lemma1.add_argument("--prime", type=int, required=True)
     lemma1.add_argument(
         "--gens",

@@ -1,13 +1,17 @@
 """Vectorized univariate polynomial arithmetic over F_p.
 
 Coefficients are numpy int64 arrays, little endian, reduced mod p.
-Products go through numpy convolution, which is exact here: entries
-are below p <= 7 in practice and the degrees stay in the hundreds, far
-from int64 overflow.  Used on the hot path of module splitting, where
-minimal polynomials of dimension-sized degree must be factored quickly;
-the factor iterator is lazy and yields irreducible factors in order of
-increasing degree, because the splitter almost always only needs the
-smallest one.
+Products go through numpy convolution.  A coefficient of a product sums
+at most k products of two residues, k the length of the shorter factor,
+so it is exact while k (p - 1)^2 < 2^63.  That bound is kept because the
+splitter, the only caller, runs only when p^n <= ``dim_cap`` (625 by
+default): p is at most ``dim_cap`` and k at most d + 1 for a module of
+dimension d <= ``dim_cap``, far inside it.
+
+Used on the hot path of module splitting, where minimal polynomials of
+dimension-sized degree must be factored quickly; the factor iterator is
+lazy and yields irreducible factors in order of increasing degree,
+because the splitter almost always only needs the smallest one.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from numbers import Integral
 
 from .errors import CoefficientFieldMismatch, DenominatorDivisibleByP
@@ -69,13 +68,6 @@ def _ptrim(c):
     while i > 0 and c[i - 1] == 0:
         i -= 1
     return tuple(c[:i])
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _ptrim([(x + y) % p for x, y in zip(a, b)])
 
 
 def _psub(a, b, p):
@@ -272,10 +264,6 @@ class GF:
     def from_int(self, k: int) -> "FFElem":
         return FFElem(self, (k % self.p,) + (0,) * (self.e - 1))
 
-    def from_rational(self, x: Fraction) -> "FFElem":
-        """Reduce an exact rational mod p; denominator must avoid p."""
-        return self.from_int(self._rational_residue(x))
-
     def _rational_residue(self, x) -> int:
         x = Fraction(x)
         if x.denominator % self.p == 0:
@@ -314,11 +302,6 @@ class GF:
             x = self.random(rng)
             if x:
                 return x
-
-    def elements(self):
-        """All field elements in lexicographic coefficient order."""
-        for coeffs in product(range(self.p), repeat=self.e):
-            yield FFElem(self, coeffs)
 
     def embed(self, x) -> "FFElem":
         """Embed an int residue or an element of the prime subfield."""

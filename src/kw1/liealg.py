@@ -204,29 +204,28 @@ def ad_matrix(ctx, i):
     return rows
 
 
-def _reduce_rows(rows, field):
-    p = field.residue_modulus
-    return [[x % p for x in row] for row in rows] if p else rows
+def _reduce_rows(rows, p):
+    return [[x % p for x in row] for row in rows]
 
 
-def ad_matrix_of_vector(ctx, coeffs, field):
-    """ad of sum_k coeffs_k x_k, for coefficients that are scalars of ``field``."""
-    n = ctx.n
-    rows = [[field.scalar(0)] * n for _ in range(n)]
+def ad_matrix_of_vector(alg, coeffs):
+    """ad of sum_k coeffs_k x_k, for int residue coefficients."""
+    n = alg.n
+    rows = [[0] * n for _ in range(n)]
     for k, c in enumerate(coeffs):
         if not c:
             continue
         for j in range(n):
-            for l, d in ctx.bracket(k, j).items():
+            for l, d in alg.bracket(k, j).items():
                 rows[l][j] = rows[l][j] + c * d
-    return _reduce_rows(rows, field)
+    return _reduce_rows(rows, alg.p)
 
 
-def _mat_mul(a, b, field):
+def _mat_mul(a, b, p):
     n = len(a)
     m = len(b[0])
     inner = len(b)
-    out = [[field.scalar(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         for k in range(inner):
@@ -237,38 +236,37 @@ def _mat_mul(a, b, field):
                 for j in range(m):
                     if bk[j]:
                         row[j] = row[j] + c * bk[j]
-    return _reduce_rows(out, field)
+    return _reduce_rows(out, p)
 
 
-def _mat_pow(a, k, field):
+def _mat_pow(a, k, p):
     n = len(a)
-    result = [[field.scalar(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
     base = a
     while k:
         if k & 1:
-            result = _mat_mul(result, base, field)
-        base = _mat_mul(base, base, field)
+            result = _mat_mul(result, base, p)
+        base = _mat_mul(base, base, p)
         k >>= 1
     return result
 
 
-def _solve_inner_derivation(alg: ModularLieAlgebra, target, work_field=None):
+def _solve_inner_derivation(alg: ModularLieAlgebra, target):
     """Solve sum_k y_k ad(x_k) = target for y, canonical representative.
 
     The solution is a coset of the center; row reduction with free
     variables pinned to zero picks the minimal-support representative,
     which makes the p-map deterministic.  Returns None if not inner.
     """
-    field = work_field or alg.field
     n = alg.n
     ads = [ad_matrix(alg, k) for k in range(n)]
     rows = []
     rhs = []
     for a in range(n):
         for b in range(n):
-            rows.append([field.scalar(ads[k][a][b]) for k in range(n)])
+            rows.append([ads[k][a][b] for k in range(n)])
             rhs.append(target[a][b])
-    return linalg.solve(rows, rhs, field)
+    return linalg.solve(rows, rhs, alg.field)
 
 
 def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
@@ -281,7 +279,7 @@ def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
     """
     rows = []
     for i in range(alg.n):
-        target = _mat_pow(ad_matrix(alg, i), alg.p, alg.field)
+        target = _mat_pow(ad_matrix(alg, i), alg.p, alg.p)
         y = _solve_inner_derivation(alg, target)
         if y is None:
             raise NotRestrictable(i, alg.labels[i])
@@ -304,8 +302,8 @@ def p_map_override_to_structure(alg: ModularLieAlgebra, override) -> RestrictedS
 def verify_restricted(alg: ModularLieAlgebra, rs: RestrictedStructure) -> bool:
     """Exact check of ad(x_i^[p]) == (ad x_i)^p for every i."""
     for i in range(alg.n):
-        lhs = ad_matrix_of_vector(alg, rs.vector(i), alg.field)
-        if lhs != _mat_pow(ad_matrix(alg, i), alg.p, alg.field):
+        lhs = ad_matrix_of_vector(alg, rs.vector(i))
+        if lhs != _mat_pow(ad_matrix(alg, i), alg.p, alg.p):
             return False
     return True
 
@@ -323,21 +321,6 @@ def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:
     return ModularLieAlgebra(
         alg.name, alg.labels, alg.p, alg.constants, e=alg.e, restricted=rs
     )
-
-
-def p_power_of_vector(alg: ModularLieAlgebra, coeffs):
-    """Canonical solve of ad(y) = (ad v)^p for v given by ``coeffs``.
-
-    Coefficients may live in an extension of F_p; the same echelon
-    solve is used, so the result is semilinear on commuting pairs.
-    """
-    work_field = coeffs[0].field
-    vec = [work_field.scalar(c) for c in coeffs]
-    target = _mat_pow(ad_matrix_of_vector(alg, vec, work_field), alg.p, work_field)
-    y = _solve_inner_derivation(alg, target, work_field=work_field)
-    if y is None:
-        raise NotRestrictable(-1, "vector")
-    return y
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +359,7 @@ def index_generic(obj, trials: int = 3, seed: int = 0) -> int:
         evals += [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(trials)]
         for chi in evals:
             b = _chi_matrix(obj, chi, Fraction(0))
-            best = max(best, linalg.rank_fractions(b))
+            best = max(best, linalg.rank(b, QQ))
     else:
         p = obj.p
         e = sz_extension_degree(p, n, n)

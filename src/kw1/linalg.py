@@ -1,16 +1,16 @@
 """Exact linear algebra over Fraction, F_p, and F_{p^e}.
 
-Three backends share one interface:
+Two row reductions:
 
-* rationals: plain Fraction elimination (small matrices only);
-* prime fields: numpy int64 matrices reduced mod p, with vectorized
-  row operations (this is the hot path for center computations);
-* extensions: every rank goes through one vectorized kernel that embeds
-  each F_{p^e} entry as its e x e multiplication matrix over F_p and
-  eliminates the blown-up matrix in place; ``rank_coefficient_array``
-  takes the entries straight as a (rows, cols, e) int64 array.
-  Nullspaces and solves over extensions use elementwise FFElem
-  elimination.
+* ``_eliminate``: numpy int64 matrices reduced mod p, with vectorized
+  row operations.  It is the hot path for center computations, and
+  every rank over F_{p^e} goes through it too: ``blocked_coefficients``
+  embeds each F_{p^e} entry as its e x e multiplication matrix over F_p
+  (``rank_coefficient_array`` takes the entries straight as a
+  (rows, cols, e) int64 array).  Solves are over F_p only.
+* ``rref_ff``: one list RREF for scalars with field arithmetic and
+  ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
+  ``FFElem`` for nullspaces over extensions.
 
 All results are exact; there is no floating point.
 
@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PrimeOutsideInt64Range, SelfCheckFailure
-from .fields import GF, FFElem, QQ
+from .fields import GF, QQ
 
 
 # ---------------------------------------------------------------------------
@@ -52,22 +52,10 @@ def require_exact_prime(p: int) -> None:
         raise PrimeOutsideInt64Range(p, LARGEST_EXACT_PRIME)
 
 
-def to_modp_array(rows, p: int) -> np.ndarray:
-    """Rows of ints / FFElem (e == 1) / Fraction to an int64 array mod p."""
-    out = []
-    for row in rows:
-        r = []
-        for x in row:
-            if isinstance(x, FFElem):
-                r.append(x.coeffs[0] % p)
-            elif isinstance(x, Fraction):
-                r.append((x.numerator * pow(x.denominator, -1, p)) % p)
-            else:
-                r.append(int(x) % p)
-        out.append(r)
-    if not out:
-        return np.zeros((0, 0), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+def to_modp_array(rows, field: GF) -> np.ndarray:
+    """Rows of F_p scalars (ints, prime-field FFElem, Fraction) as an int64 array."""
+    out = [[field.scalar(x) for x in row] for row in rows]
+    return np.array(out, dtype=np.int64) if out else np.zeros((0, 0), dtype=np.int64)
 
 
 def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> list:
@@ -151,10 +139,14 @@ def solve_modp(a: np.ndarray, b: np.ndarray, p: int):
 
 
 # ---------------------------------------------------------------------------
-# generic field backend (lists of FFElem)
+# list backend (lists of Fraction or FFElem)
 # ---------------------------------------------------------------------------
 
-def rref_ff(rows, field: GF):
+def rref_ff(rows, field):
+    """Reduced row echelon form of a list matrix; returns (rows, pivots).
+
+    Entries are ``Fraction`` (``field`` QQ) or ``FFElem`` of ``field``.
+    """
     m = [list(row) for row in rows]
     if not m:
         return m, []
@@ -168,7 +160,7 @@ def rref_ff(rows, field: GF):
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c].inverse()
+        inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
@@ -179,7 +171,12 @@ def rref_ff(rows, field: GF):
     return m, pivots
 
 
-def rank_ff(rows, field: GF) -> int:
+def rank_ff(rows, field) -> int:
+    """Rank by ``rref_ff``.
+
+    ``rank`` uses it over QQ; over F_{p^e} it is the tests' reference for
+    the blocked kernel.
+    """
     return len(rref_ff(rows, field)[1])
 
 
@@ -201,26 +198,9 @@ def nullspace_ff(rows, field: GF):
     return basis
 
 
-def solve_ff(rows, b, field: GF):
-    aug = [list(row) + [bb] for row, bb in zip(rows, b)]
-    ncols = len(rows[0]) if rows else 0
-    r, pivots = rref_ff(aug, field)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = r[i][ncols]
-    return x
-
-
 def _coefficients(rows) -> np.ndarray:
     """The (rows, cols, e) int64 coefficient array of rows of ``FFElem``."""
     return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int64)
-
-
-def blocked_matrix(rows, field: GF) -> np.ndarray:
-    """``blocked_coefficients`` of rows of ``FFElem``."""
-    return blocked_coefficients(_coefficients(rows), field)
 
 
 def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
@@ -264,40 +244,6 @@ def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
     return r // e
 
 
-def rank_ext_blocked(rows, field: GF) -> int:
-    """Rank over F_{p^e} of rows of ``FFElem``, through ``rank_coefficient_array``."""
-    if not rows or not rows[0]:
-        return 0
-    return rank_coefficient_array(_coefficients(rows), field)
-
-
-# ---------------------------------------------------------------------------
-# rationals
-# ---------------------------------------------------------------------------
-
-def rank_fractions(rows) -> int:
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[rank], m[pr] = m[pr], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 # ---------------------------------------------------------------------------
 # dispatching wrappers
 # ---------------------------------------------------------------------------
@@ -307,22 +253,16 @@ def rank(rows, field) -> int:
     if not rows or not rows[0]:
         return 0
     if field is QQ or getattr(field, "is_rational", False):
-        return rank_fractions(rows)
+        return rank_ff([[Fraction(x) for x in r] for r in rows], QQ)
     if field.e == 1:
-        return rank_modp(to_modp_array(rows, field.p), field.p)
-    return rank_ext_blocked(rows, field)
+        return rank_modp(to_modp_array(rows, field), field.p)
+    return rank_coefficient_array(_coefficients(rows), field)
 
 
-def solve(rows, b, field):
-    """Canonical particular solution of rows . x = b, or None.
+def solve(rows, b, field: GF):
+    """Canonical particular solution of rows . x = b over F_p, or None.
 
-    Over F_p the solution is a list of int residues, over F_{p^e} of
-    ``FFElem``.
+    The solution is a list of int residues.
     """
-    rows = [list(r) for r in rows]
-    if field is QQ or getattr(field, "is_rational", False):
-        raise NotImplementedError("rational solve is not needed")
-    if field.e == 1:
-        x = solve_modp(to_modp_array(rows, field.p), to_modp_array([b], field.p)[0], field.p)
-        return None if x is None else [int(v) for v in x]
-    return solve_ff(rows, list(b), field)
+    x = solve_modp(to_modp_array(rows, field), to_modp_array([b], field)[0], field.p)
+    return None if x is None else [int(v) for v in x]

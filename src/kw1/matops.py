@@ -9,15 +9,17 @@ Echelon states are kept in full reduced row echelon form with a pivot
 list, so submodule restriction and quotient coordinates can be read off
 entries directly.  The prime backend stores the echelon rows in the top
 of one int64 buffer whose row capacity doubles when it fills, capped at
-the width (the rank never exceeds it); the Krylov basis of
-``krylov_minpoly`` and its combination matrix grow the same way.  So a
-new row is written in place instead of re-stacking the matrix, and a
-wide echelon (the Burnside one has width d^2) allocates for its rank,
-never width x width up front.
+the width (the rank never exceeds it).  So a new row is written in place
+instead of re-stacking the matrix, and a wide echelon (the Burnside one
+has width d^2) allocates for its rank, never width x width up front.
+
+Each backend has this one row reduction.  ``krylov_minpoly`` runs on it
+too: row k of its echelon is (r^k v | e_k), and the first row whose left
+half reduces to zero carries the minimal polynomial in its right half.
 
 Every int64 product here sums k terms below (p - 1)^2, for an inner
-dimension k of at most the module dimension d (d^2 for the Burnside
-echelon), so it is exact while k (p - 1)^2 < 2^63.  The splitter only
+dimension k of at most the module dimension d (d + 1 for the Krylov
+echelon, d^2 for the Burnside one), so it is exact while k (p - 1)^2 < 2^63.  The splitter only
 runs when p^n <= ``dim_cap`` (625 by default), so p and d are at most
 ``dim_cap`` and the bound holds with room to spare.
 """
@@ -214,42 +216,24 @@ class PrimeOps:
     def krylov_minpoly(self, r, v):
         """Minimal polynomial of v under r, little-endian int coefficients.
 
-        Maintains the Krylov echelon in full RREF, applying the same
-        row operations to the combination matrix, so each stored row is
-        a recorded linear combination of the Krylov vectors and the
-        first dependence yields the monic minimal polynomial directly.
+        Row k of a width 2d + 1 echelon is (r^k v | e_k), so the right half
+        of each stored row records which combination of Krylov vectors its
+        left half is.  The first row whose left half reduces to zero is
+        sum_i c_i r^i v = 0 with c_k = 1: the minimal polynomial, which is
+        unique, scaled by the insert to put a 1 at its pivot.
         """
         p = self.p
         d = r.shape[0]
-        basis = np.zeros((0, d), dtype=np.int64)
-        combos = np.zeros((0, d + 1), dtype=np.int64)
-        pivots: list[int] = []
+        state = PrimeEchelon(p, 2 * d + 1)
         cur = v % p
         k = 0
         while True:
-            combo = np.zeros(d + 1, dtype=np.int64)
-            combo[k] = 1
-            w = cur
-            if k:
-                coeffs = w[pivots]
-                if coeffs.any():
-                    w = (w - coeffs @ basis[:k]) % p
-                    combo = (combo - coeffs @ combos[:k]) % p
-            nz = w.nonzero()[0]
-            if nz.size == 0:
-                return [int(c) for c in combo[: k + 1]]
-            piv = int(nz[0])
-            inv = pow(int(w[piv]), -1, p)
-            w = (w * inv) % p
-            combo = (combo * inv) % p
-            col = basis[:k, piv].copy()  # the first clear rewrites that column
-            _clear_column(basis[:k], col, w, p)
-            _clear_column(combos[:k], col, combo, p)
-            basis = _with_room(basis, k)
-            combos = _with_room(combos, k)
-            basis[k] = w
-            combos[k] = combo
-            pivots.append(piv)
+            row = np.zeros(2 * d + 1, dtype=np.int64)
+            row[:d] = cur
+            row[d + k] = 1
+            if state.insert(row) >= d:
+                found = state.rows[-1, d : d + k + 1]
+                return [int(c) for c in (found * pow(int(found[-1]), -1, p)) % p]
             cur = (r @ cur) % p
             k += 1
 
@@ -340,7 +324,7 @@ class ExtOps:
         return linalg.nullspace_ff(a, self.field)
 
     def nullity(self, a):
-        return len(a[0]) - linalg.rank_ff(a, self.field)
+        return len(a[0]) - linalg.rank(a, self.field)
 
     def poly_eval(self, coeffs, r):
         f = self.field
@@ -358,29 +342,19 @@ class ExtOps:
         return acc
 
     def krylov_minpoly(self, r, v):
+        """As ``PrimeOps.krylov_minpoly``, on an ``ExtEchelon``."""
         f = self.field
         d = len(r)
-        rows = []
-        pivots = []
-        combos = []
+        state = ExtEchelon(f, 2 * d + 1)
         cur = list(v)
         k = 0
         while True:
-            combo = [f.zero] * (d + 1)
-            combo[k] = f.one
-            w = list(cur)
-            for row, piv, cmb in zip(rows, pivots, combos):
-                c = w[piv]
-                if c:
-                    w = [x - c * y for x, y in zip(w, row)]
-                    combo = [x - c * y for x, y in zip(combo, cmb)]
-            piv = next((i for i, x in enumerate(w) if x), None)
-            if piv is None:
-                return combo[: k + 1]
-            inv = w[piv].inverse()
-            rows.append([x * inv for x in w])
-            pivots.append(piv)
-            combos.append([x * inv for x in combo])
+            unit = [f.zero] * (d + 1)
+            unit[k] = f.one
+            if state.insert(cur + unit) >= d:
+                found = state.rows[-1][d : d + k + 1]
+                inv = found[-1].inverse()
+                return [c * inv for c in found]
             cur = self.matvec(r, cur)
             k += 1
 

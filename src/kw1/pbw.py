@@ -153,9 +153,6 @@ class UEElement:
     def is_zero(self):
         return not self.terms
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.ctx.field.scalar(0))
-
     def _check_compatible(self, other):
         if not isinstance(other, UEElement):
             raise TypeError("expected an enveloping-algebra element")

@@ -48,12 +48,6 @@ def psub(f, g, field):
     return ptrim(a - b for a, b in zip(f, g))
 
 
-def pscale(f, c):
-    if not c:
-        return ()
-    return tuple(a * c for a in f)
-
-
 def pmul(f, g, field):
     if not f or not g:
         return ()
@@ -122,23 +116,6 @@ def peval(f, a: FFElem, field):
     for c in reversed(f):
         acc = acc * a + c
     return acc
-
-
-def prender(f, var="x") -> str:
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if not c:
-            continue
-        cs = c.render()
-        if i == 0:
-            parts.append(cs)
-        else:
-            head = var if i == 1 else f"{var}^{i}"
-            parts.append(head if cs == "1" else f"{cs}*{head}")
-    return " + ".join(parts)
 
 
 def pis_irreducible(f, field: GF) -> bool:

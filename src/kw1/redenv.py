@@ -235,12 +235,12 @@ def _quotient(ops, mats, state, d):
     ]
 
 
-def _norton_attempt(ops, mats, d, rng):
-    """One random-element attempt.
+def _probe(ops, mats, d, rng):
+    """One random draw: (r, the factors of v's minimal polynomial under r).
 
-    Returns ("split", echelon state of a proper submodule), or
-    ("irreducible", degree of the certifying good factor), or None when
-    this element was inconclusive.
+    r is a random algebra element and v a random vector.  None when v is
+    zero or its minimal polynomial is constant.  The factoring RNG is
+    drawn from ``rng`` after the Krylov step.
     """
     r = _random_algebra_element(ops, mats, d, rng)
     v = ops.random_vector(d, rng)
@@ -249,8 +249,21 @@ def _norton_attempt(ops, mats, d, rng):
     minpoly = ops.krylov_minpoly(r, v)
     if len(minpoly) <= 1:
         return None
-    factor_rng = random.Random(rng.randrange(2**62))
-    for f in ops.iter_factors(minpoly, factor_rng):
+    return r, ops.iter_factors(minpoly, random.Random(rng.randrange(2**62)))
+
+
+def _norton_attempt(ops, mats, d, rng):
+    """One random-element attempt.
+
+    Returns ("split", echelon state of a proper submodule), or
+    ("irreducible", degree of the certifying good factor), or None when
+    this element was inconclusive.
+    """
+    probe = _probe(ops, mats, d, rng)
+    if probe is None:
+        return None
+    r, factors = probe
+    for f in factors:
         deg = len(f) - 1
         n_mat = ops.poly_eval(f, r)
         kernel = ops.nullspace(n_mat)
@@ -298,15 +311,11 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
     tries = 0
     while bound > 1 and tries < ENDO_PROBE_TRIES:
         tries += 1
-        r = _random_algebra_element(ops, mats, d, rng)
-        v = ops.random_vector(d, rng)
-        if ops.vec_is_zero(v):
+        probe = _probe(ops, mats, d, rng)
+        if probe is None:
             continue
-        minpoly = ops.krylov_minpoly(r, v)
-        if len(minpoly) <= 1:
-            continue
-        factor_rng = random.Random(rng.randrange(2**62))
-        for f in ops.iter_factors(minpoly, factor_rng):
+        r, factors = probe
+        for f in factors:
             deg = len(f) - 1
             n_mat = ops.poly_eval(f, r)
             if ops.nullity(n_mat) == deg:

@@ -169,14 +169,17 @@ def parse_document(doc: dict) -> LieAlgebraPresentation:
         seen.add(lbl)
     index = {lbl: i for i, lbl in enumerate(labels)}
     constants: dict = {}
-    for k, entry in enumerate(doc.get("brackets", [])):
+    brackets = doc.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError("'brackets' must be a list", "brackets")
+    for k, entry in enumerate(brackets):
         loc = f"brackets[{k}]"
         if not isinstance(entry, dict):
             raise ParseError("bracket entries must be objects", loc)
         left = entry.get("left")
         right = entry.get("right")
         for lbl in (left, right):
-            if lbl not in index:
+            if not isinstance(lbl, str) or lbl not in index:
                 raise ParseError(f"undeclared label {lbl!r}", loc)
         if left == right:
             raise ParseError(f"bracket [{left}, {right}] is identically zero", loc)
@@ -204,6 +207,8 @@ def parse_document(doc: dict) -> LieAlgebraPresentation:
         for lbl, row in raw.items():
             if lbl not in index:
                 raise ParseError(f"undeclared label {lbl!r}", "pmapOverride")
+            if not isinstance(row, dict):
+                raise ParseError("override rows must be objects", f"pmapOverride.{lbl}")
             override[lbl] = {}
             for tgt, val in row.items():
                 if tgt not in index:

@@ -2,9 +2,11 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kw1.cli import RunConfig, main, run
-from kw1.errors import DuplicateLabel, JacobiError, ParseError
+from kw1.errors import DuplicateLabel, JacobiError, KW1Error, ParseError
 from kw1.registry import (
     builtin_examples,
     get_example,
@@ -308,3 +310,97 @@ def test_check_refuses_a_prime_beyond_the_int64_envelope(tmp_path, capsys):
     assert main(args + ["--primes", "3037000493", "--out", str(out)]) == 2
     assert json.loads(out.read_text())["reports"][0]["ind"] == 1
     assert main(["lemma1", "--nvars", "1", "--prime", "4294967311", "--gens", "x1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"name": "g", "basis": ["x"], "brackets": None},
+        {"name": "g", "basis": ["x", "y"], "brackets": [{"left": ["x"], "right": "y"}]},
+        {"name": "g", "basis": ["x"], "pmapOverride": {"x": "1"}},
+    ],
+)
+def test_malformed_documents_are_input_errors(doc, capsys):
+    with pytest.raises(ParseError):
+        parse_document(doc)
+    assert main(["check", "--input", json.dumps(doc), "--primes", "3"]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
+_LABELS = st.sampled_from(["x", "y", "z"])
+_KEYS = _LABELS | st.sampled_from(["left", "right", "result"])
+_SCALARS = st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(
+    ["x", "y", "", "1", "-1/2", "1/0", "0.5"]
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+_RESULTS = st.dictionaries(_LABELS, st.sampled_from(["1", "-2", "1/3"]) | _VALUES, max_size=2)
+_BRACKET = st.fixed_dictionaries({"left": _LABELS, "right": _LABELS, "result": _RESULTS})
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed document, then up to two keys of its first bracket
+    deleted or replaced and up to two top-level fields replaced by
+    arbitrary JSON values."""
+    doc = {
+        "name": "g",
+        "basis": draw(st.lists(_LABELS, min_size=1, max_size=3, unique=True)),
+        "brackets": draw(st.lists(_BRACKET, max_size=3)),
+        "pmapOverride": draw(st.dictionaries(_LABELS, _RESULTS, max_size=2)),
+    }
+    if doc["brackets"]:
+        entry = doc["brackets"][0]
+        for key in draw(st.lists(st.sampled_from(sorted(entry)), max_size=2, unique=True)):
+            if draw(st.booleans()):
+                del entry[key]
+            else:
+                entry[key] = draw(_VALUES)
+    for key in draw(st.lists(st.sampled_from(sorted(doc)), max_size=2, unique=True)):
+        doc[key] = draw(st.none() | _VALUES)
+    return doc
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(_documents() | _VALUES)
+def test_parse_document_raises_only_package_errors(doc):
+    try:
+        parse_document(doc)
+    except KW1Error:
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["check", "--example", "sl2", "--primes", "3", "--ext", "0"], "--ext"),
+        (["check", "--example", "sl2", "--primes", "3", "--ext", "-2"], "--ext"),
+        (["check", "--example", "sl2", "--primes", "3", "--samples", "0"], "--samples"),
+        (["check", "--example", "sl2", "--primes", "3", "--degree-bound", "0"], "--degree-bound"),
+        (["index", "--example", "sl2", "--samples", "-2"], "--samples"),
+        (["center", "--example", "sl2", "--prime", "3", "--degree-bound", "0"], "--degree-bound"),
+        (["rank", "--example", "sl2", "--prime", "3", "--degree-bound", "-1"], "--degree-bound"),
+        (["oracle", "--example", "sl2", "--prime", "3", "--samples", "-3"], "--samples"),
+        (["lemma1", "--nvars", "-1", "--prime", "3"], "--nvars"),
+    ],
+)
+def test_count_options_below_their_minimum_are_input_errors(argv, option, capsys):
+    assert main(argv) == 1
+    assert f"argument {option}: must be >=" in capsys.readouterr().err
+
+
+def test_zero_variable_algebra(capsys):
+    assert main(["check", "--example", "abelian:0", "--primes", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert (report["verdict"], report["rankZoverZp"], report["mUpper"]) == ("verified", 1, 1)
+    assert main(["rank", "--example", "abelian:0", "--prime", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rankZoverZp"] == 1
+    assert main(["center", "--example", "abelian:0", "--prime", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1"]
+    assert main(["lemma1", "--nvars", "0", "--prime", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 1
+    assert main(["oracle", "--example", "abelian:0", "--prime", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["M"] == 1

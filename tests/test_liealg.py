@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -7,13 +6,11 @@ import pytest
 from kw1 import liealg
 from kw1.cli import main
 from kw1.errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
-from kw1.fields import galois_field, prime_field
 from kw1.liealg import (
     LieAlgebraPresentation,
     base_change_mod_p,
     compute_p_map,
     index_generic,
-    p_power_of_vector,
     validate_presentation,
     verify_restricted,
     with_p_map,
@@ -148,28 +145,6 @@ def test_index_examples():
 def test_index_matches_brute_force_mod5(name):
     alg = base_change_mod_p(get_example(name), 5)
     assert index_generic(alg, 3, 0) == brute_force_index(alg)
-
-
-def test_semilinearity_on_commuting_pairs():
-    # [x, y] = 0 in the heisenberg pair (x, z) and (y, z)
-    alg = with_p_map(base_change_mod_p(get_example("heisenberg"), 3))
-    ext = galois_field(3, 2)
-    rng = random.Random(12)
-    for i, j in ((0, 2), (1, 2)):
-        for _ in range(10):
-            a = ext.random(rng)
-            b = ext.random(rng)
-            coeffs = [ext.zero] * alg.n
-            coeffs[i] = a
-            coeffs[j] = b
-            combined = p_power_of_vector(alg, coeffs)
-            expected = [ext.zero] * alg.n
-            for k in range(alg.n):
-                expected[k] = (
-                    a**alg.p * ext.embed(alg.restricted.vector(i)[k])
-                    + b**alg.p * ext.embed(alg.restricted.vector(j)[k])
-                )
-            assert [c.coeffs for c in combined] == [c.coeffs for c in expected]
 
 
 # alg.signature() at p = 3, 5, 7, as computed when structure constants were

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kw1 import linalg
-from kw1.fields import galois_field, prime_field
+from kw1.fields import QQ, galois_field, prime_field
 
 
 def test_rref_modp_known():
@@ -115,9 +115,7 @@ def test_blocked_rank_agrees_with_generic():
     for p, e in ((3, 2), (5, 3), (2, 4), (2, 5), (3, 5), (7, 2)):
         field = galois_field(p, e)
         for a in _ext_matrices(field, rng):
-            want = linalg.rank_ff(a, field)
-            assert linalg.rank_ext_blocked(a, field) == want
-            assert linalg.rank(a, field) == want
+            assert linalg.rank(a, field) == linalg.rank_ff(a, field)
 
 
 def test_blocked_matrix_blocks_are_mul_matrices():
@@ -125,7 +123,7 @@ def test_blocked_matrix_blocks_are_mul_matrices():
     for p, e in ((3, 2), (5, 3), (2, 4), (2, 5)):
         field = galois_field(p, e)
         for a in _ext_matrices(field, rng):
-            big = linalg.blocked_matrix(a, field)
+            big = linalg.blocked_coefficients(linalg._coefficients(a), field)
             assert big.shape == (len(a) * e, len(a[0]) * e)
             for i, row in enumerate(a):
                 for j, x in enumerate(row):
@@ -139,7 +137,7 @@ def test_blocked_rank_self_check(monkeypatch):
     field = galois_field(3, 2)
     monkeypatch.setattr(linalg, "_eliminate", lambda m, p, reduce_above: [0])
     with pytest.raises(SelfCheckFailure, match="not a multiple of e"):
-        linalg.rank_ext_blocked([[field.one]], field)
+        linalg.rank([[field.one]], field)
 
 
 def test_nullspace_modp_matches_loop_reference():
@@ -171,8 +169,8 @@ def test_fraction_rank():
         [Fraction(3, 2), Fraction(2, 1)],
         [Fraction(2), Fraction(4, 3)],
     ]
-    assert linalg.rank_fractions(rows) == 2
-    assert linalg.rank_fractions([[Fraction(0)]]) == 0
+    assert linalg.rank(rows, QQ) == 2
+    assert linalg.rank([[Fraction(0)]], QQ) == 0
 
 
 def test_dispatch_rank():
@@ -231,4 +229,4 @@ def test_kernels_exact_at_the_largest_prime():
         )
         assert [tuple(int(c) for c in row) for row in got] == [(x * y).coeffs for x, y in zip(xs, ys)]
         rows = [[xs[0], xs[1]], [xs[0] * ys[2], xs[1] * ys[2]], [ys[3], ys[4]]]
-        assert linalg.rank_ext_blocked(rows, field) == linalg.rank_ff(rows, field)
+        assert linalg.rank(rows, field) == linalg.rank_ff(rows, field)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kw1 import fastpoly, matops, redenv
-from kw1.fields import prime_field
+from kw1.fields import galois_field, prime_field
 
 
 def random_poly(p, degree, rng):
@@ -108,3 +108,116 @@ def test_first_insert_into_burnside_echelon_allocates_under_one_megabyte():
         tracemalloc.stop()
     assert state.dim == 1 and state.pivots == [7]
     assert peak < 1 << 20, peak
+
+
+# ---------------------------------------------------------------------------
+# Krylov minimal polynomials on the backend echelon
+# ---------------------------------------------------------------------------
+
+def krylov_with_combinations_prime(ops, r, v):
+    """The earlier prime-field Krylov: a d-wide echelon plus a combination matrix."""
+    p = ops.p
+    d = r.shape[0]
+    basis = np.zeros((0, d), dtype=np.int64)
+    combos = np.zeros((0, d + 1), dtype=np.int64)
+    pivots = []
+    cur = v % p
+    k = 0
+    while True:
+        combo = np.zeros(d + 1, dtype=np.int64)
+        combo[k] = 1
+        w = cur
+        if k:
+            coeffs = w[pivots]
+            if coeffs.any():
+                w = (w - coeffs @ basis[:k]) % p
+                combo = (combo - coeffs @ combos[:k]) % p
+        nz = w.nonzero()[0]
+        if nz.size == 0:
+            return [int(c) for c in combo[: k + 1]]
+        piv = int(nz[0])
+        inv = pow(int(w[piv]), -1, p)
+        w = (w * inv) % p
+        combo = (combo * inv) % p
+        col = basis[:k, piv].copy()
+        matops._clear_column(basis[:k], col, w, p)
+        matops._clear_column(combos[:k], col, combo, p)
+        basis = matops._with_room(basis, k)
+        combos = matops._with_room(combos, k)
+        basis[k] = w
+        combos[k] = combo
+        pivots.append(piv)
+        cur = (r @ cur) % p
+        k += 1
+
+
+def krylov_with_combinations_ext(ops, r, v):
+    """The earlier extension-field Krylov, elementwise with combination rows."""
+    f = ops.field
+    d = len(r)
+    rows, pivots, combos = [], [], []
+    cur = list(v)
+    k = 0
+    while True:
+        combo = [f.zero] * (d + 1)
+        combo[k] = f.one
+        w = list(cur)
+        for row, piv, cmb in zip(rows, pivots, combos):
+            c = w[piv]
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+                combo = [x - c * y for x, y in zip(combo, cmb)]
+        piv = next((i for i, x in enumerate(w) if x), None)
+        if piv is None:
+            return combo[: k + 1]
+        inv = w[piv].inverse()
+        rows.append([x * inv for x in w])
+        pivots.append(piv)
+        combos.append([x * inv for x in combo])
+        cur = ops.matvec(r, cur)
+        k += 1
+
+
+def krylov_cases(d, rng, random_entry, zero, one):
+    """Pairs (r, v): random, zero, identity, nilpotent and block-diagonal r."""
+    def rand(rows, cols):
+        return [[random_entry() for _ in range(cols)] for _ in range(rows)]
+
+    ident = [[one if i == j else zero for j in range(d)] for i in range(d)]
+    # strictly upper triangular: nilpotent
+    nilpotent = [[random_entry() if j > i else zero for j in range(d)] for i in range(d)]
+    shift = [[one if j == i + 1 else zero for j in range(d)] for i in range(d)]
+    block = [[zero] * d for _ in range(d)]
+    half = d // 2
+    for i, row in enumerate(rand(d, d)):
+        for j, x in enumerate(row):
+            if (i < half) == (j < half):
+                block[i][j] = x
+    mats = [rand(d, d), [[zero] * d for _ in range(d)], ident, nilpotent, shift, block]
+    vectors = [rand(1, d)[0], [zero] * (d - 1) + [one]]
+    return [(m, v) for m in mats for v in vectors if any(v)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_krylov_on_the_echelon_matches_the_combination_reference(p):
+    ops = matops.PrimeOps(prime_field(p))
+    rng = random.Random(40 + p)
+    for d in range(1, 13):
+        for r, v in krylov_cases(d, rng, lambda: rng.randrange(p), 0, 1):
+            r = np.array(r, dtype=np.int64)
+            v = np.array(v, dtype=np.int64)
+            got = ops.krylov_minpoly(r, v)
+            assert got == krylov_with_combinations_prime(ops, r, v), (p, d)
+            assert all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("p, e", [(2, 2), (3, 2)])
+def test_ext_krylov_on_the_echelon_matches_the_combination_reference(p, e):
+    field = galois_field(p, e)
+    ops = matops.ExtOps(field)
+    rng = random.Random(50 + p)
+    for d in range(1, 13):
+        for r, v in krylov_cases(d, rng, lambda: field.random(rng), field.zero, field.one):
+            got = ops.krylov_minpoly(r, v)
+            want = krylov_with_combinations_ext(ops, r, v)
+            assert [c.coeffs for c in got] == [c.coeffs for c in want], (p, e, d)
