@@ -25,7 +25,17 @@ p-center at D, with its specialization field, so ``kw1_verdict`` ranks
 the center once.  The commutator matrix is filled in increasing degree
 by the derivation rule [x_i, x^b x_j] = [x_i, x^b] x_j + x^b [x_i, x_j]
 (j the last letter), so each column costs one straightening step per
-term of a column already built, not a full product.
+term of a column already built, not a full product.  It is kept as its
+nonzero entries and solved by ``linalg.nullspace_rref_sparse``, one
+connected column component at a time: a graded bracket makes the matrix
+block-diagonal up to order, and the solve returns the canonical basis
+directly.
+
+Memory guards: ``MATRIX_BYTES_CAP`` bounds the commutator matrix taken
+dense with the copy its nullspace reduces (``_check_matrix_budget``, an
+upper bound on every component's block), and the coefficient array plus
+blocked F_p form of each specialized rank (``_check_rank_budget``).  Both
+refuse before allocating, with ``DegreeBoundTooLargeForMemory``.
 """
 
 from __future__ import annotations
@@ -61,7 +71,8 @@ from .pbw import (
 from .util import deglex_key, derive_seed, monomial_count, monomials_upto, sz_extension_degree
 
 MONOMIAL_CAP = 20000
-# bytes of the dense commutator matrix plus the copy its nullspace reduces
+# bytes of the commutator matrix taken dense with the copy its nullspace
+# reduces, and bytes of the matrices of one specialized rank
 MATRIX_BYTES_CAP = 1 << 30
 RANK_TRIALS = 3
 PRODUCT_ROUNDS = 3
@@ -209,7 +220,12 @@ class CenterBasis:
 
 
 def _check_matrix_budget(n: int, count: int):
-    """Refuse a dense (n count) x count int64 matrix plus its RREF copy over the cap."""
+    """Refuse a dense (n count) x count int64 matrix plus its RREF copy over the cap.
+
+    The solve builds only one connected component's block at a time,
+    never larger than this, so the bound holds for brackets that are not
+    graded too.
+    """
     nbytes = 2 * 8 * n * count * count
     if nbytes > MATRIX_BYTES_CAP:
         raise DegreeBoundTooLargeForMemory(
@@ -217,15 +233,31 @@ def _check_matrix_budget(n: int, count: int):
         )
 
 
-def _commutator_matrix(alg: ModularLieAlgebra, monos, index) -> np.ndarray:
-    """Stacked maps [x_i, -] on the span of ``monos``, all degrees <= some D.
+def _check_rank_budget(rows: int, cols: int, e: int):
+    """Refuse a specialized rows x cols rank over F_{p^e} whose matrices exceed the cap.
 
-    Row i * count + index[m'] of column index[m] is the coefficient of x^m'
-    in [x_i, x^m].  Columns are built in increasing degree by the
-    derivation rule: with x^m = x^b x_j, j the last letter of m,
-    [x_i, x^m] = [x_i, x^b] x_j + x^b [x_i, x_j], both read off the column
-    of b through ``_mono_times_letter``.  Only the previous degree's
-    brackets are kept.
+    A rank holds the (rows, cols, e) int64 coefficient array and its
+    (rows e) x (cols e) blocked F_p form at once, 8 rows cols e (e + 1)
+    bytes; temporaries come on top, each at most the size of the
+    coefficient array.
+    """
+    nbytes = 8 * rows * cols * e * (e + 1)
+    if nbytes > MATRIX_BYTES_CAP:
+        raise DegreeBoundTooLargeForMemory(
+            nbytes, MATRIX_BYTES_CAP, unit="bytes of specialized rank matrices"
+        )
+
+
+def _commutator_entries(alg: ModularLieAlgebra, monos, index):
+    """Nonzero entries (rows, cols, vals) of the stacked maps [x_i, -].
+
+    The maps act on the span of ``monos``, all degrees <= some D.  Row
+    i * count + index[m'] of column index[m] is the coefficient of x^m'
+    in [x_i, x^m], each position listed at most once.  Columns are built
+    in increasing degree by the derivation rule: with x^m = x^b x_j, j the
+    last letter of m, [x_i, x^m] = [x_i, x^b] x_j + x^b [x_i, x_j], both
+    read off the column of b through ``_mono_times_letter``.  Only the
+    previous degree's brackets are kept.
     """
     n, p = alg.n, alg.p
     count = len(monos)
@@ -259,9 +291,7 @@ def _commutator_matrix(alg: ModularLieAlgebra, monos, index) -> np.ndarray:
                 cols.append(col)
                 vals.append(c)
         cur[m] = brackets
-    mat = np.zeros((n * count, count), dtype=np.int64)
-    mat[rows, cols] = vals
-    return mat
+    return rows, cols, vals
 
 
 def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
@@ -273,17 +303,13 @@ def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
     _check_matrix_budget(n, count)
     monos = sorted(monomials_upto(n, bound), key=deglex_key, reverse=True)
     index = {m: k for k, m in enumerate(monos)}
-    p = alg.p
-    basis = linalg.nullspace_modp(_commutator_matrix(alg, monos, index), p)
-    if basis.shape[0] == 0:
-        return []
-    # canonicalize: reduced echelon form with leading monomials as pivots
-    reduced, _ = linalg.rref_modp(basis, p)
+    rows, cols, vals = _commutator_entries(alg, monos, index)
+    # canonical: reduced echelon form with leading monomials as pivots
+    reduced = linalg.nullspace_rref_sparse(rows, cols, vals, count, alg.p)
     elements = []
     for row in reduced:
         terms = {monos[k]: int(row[k]) for k in np.flatnonzero(row)}
-        if terms:
-            elements.append(UEElement._reduced(alg, terms))
+        elements.append(UEElement._reduced(alg, terms))
     # exact recheck after the solve: every basis vector really is central
     gens = [ue_gen(alg, i) for i in range(n)]
     for el in elements:
@@ -391,9 +417,11 @@ class _CoordinateTerms:
             vals = _field_mul(vals, powers[self.exponents[:, i], i], field)
         out = np.zeros(self.shape + (e,), dtype=np.int64)
         np.add.at(out, (self.row, self.col), vals[self.mono] * self.coef[:, None] % p)
-        return out % p
+        out %= p
+        return out
 
     def rank(self, point, field: GF) -> int:
+        _check_rank_budget(*self.shape, field.e)
         return linalg.rank_coefficient_array(self.values(point, field), field)
 
 

@@ -63,7 +63,7 @@ class WeightMismatch(KW1Error):
 
 
 class DegreeBoundTooLargeForMemory(KW1Error):
-    """The monomial count, or the bytes of the commutator matrix, exceeds its cap."""
+    """The monomial count, or the bytes of the commutator or rank matrices, exceeds its cap."""
 
     def __init__(self, count, cap, unit="monomials"):
         self.count = count

@@ -12,7 +12,23 @@ Two row reductions:
   ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
   ``FFElem`` for nullspaces over extensions.
 
-All results are exact; there is no floating point.
+Two kernels are fitted to the matrices they get:
+
+* Ranks (``rank_modp``, ``rank_coefficient_array``) of matrices taller
+  than ``_RANK_BLOCK`` rows are blocked: each block of rows is cleared
+  against the echelon so far by products, then reduced by
+  ``_eliminate``, so the closure's tall, low-rank matrices cost rank-1
+  updates on blocks only (``_rank_reduced``).
+* ``nullspace_rref_sparse`` takes a matrix by its nonzero entries and
+  solves one connected column component at a time.  The commutator
+  matrices of the center are graded and so block-diagonal up to order;
+  no dense copy of them is built.
+
+Products go through ``matmul_modp``: float64 BLAS while
+k (p - 1)^2 < 2^53 for inner dimension k, where every partial sum is an
+integer float64 holds exactly, and int64 in chunks of the inner dimension
+beyond that (one column at a time near the top of the envelope).  All
+results are exact.
 
 int64 envelope: every kernel of the package that works on int64 residues
 mod p is exact while p (p - 1) < 2^63, that is p <= 3037000493 among
@@ -37,6 +53,8 @@ from .fields import GF, QQ
 # ---------------------------------------------------------------------------
 
 LARGEST_EXACT_PRIME = 3037000493
+# rows per block of the blocked rank; a matrix this short is not blocked
+_RANK_BLOCK = 64
 
 
 def require_exact_prime(p: int) -> None:
@@ -104,8 +122,80 @@ def rref_modp(a: np.ndarray, p: int):
     return m, _eliminate(m, p, reduce_above=True)
 
 
+def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a @ b) mod p for int64 residues in [0, p), exact inside the envelope.
+
+    Each entry sums k = a.shape[1] products below (p - 1)^2.  While
+    k (p - 1)^2 < 2^53 every partial sum is an integer a float64 holds
+    exactly, whatever order BLAS adds in, so the product runs on float64
+    BLAS and is reduced there.  Beyond that the inner dimension is cut
+    into chunks of s columns with s (p - 1)^2 <= 2^63 - p, each an int64
+    product added to the reduced total so far; s >= 1 while
+    p (p - 1) < 2^63, and s = 1 is one rank-1 step per column.
+    """
+    k = a.shape[1]
+    square = (p - 1) ** 2
+    if k * square < 2**53:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        # the quotient is correctly rounded and off an integer by at least
+        # 1/p, more than half its ulp, so its floor is the integer quotient
+        prod -= np.floor(prod / p) * p
+        return prod.astype(np.int64)
+    step = (2**63 - p) // square
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for lo in range(0, k, step):
+        out += a[:, lo:lo + step] @ b[lo:lo + step]
+        out %= p
+    return out
+
+
+def _rank_reduced(m: np.ndarray, p: int) -> int:
+    """Rank of ``m``, already reduced mod p; ``m`` is overwritten.
+
+    Rows are taken ``_RANK_BLOCK`` at a time.  The echelon E found so far
+    is kept in the top rows of ``m`` (at most one row per row read, so it
+    never reaches a row not yet read), in reduced form on its pivot
+    columns.  Products B - B[:, pivots] . E clear those columns from a
+    block B; ``_eliminate`` puts the rest of B in reduced form; products
+    E - E[:, new] . B clear its new pivot columns from E.  Each product
+    involves only the rows of E that meet a nonzero, ``_RANK_BLOCK`` of
+    them at a time, so a sparse matrix stays cheap and no temporary is
+    larger than a block.  A tall matrix of low rank r costs rank-1
+    updates on blocks only, and r-deep products for the rest.
+    """
+    rows, cols = m.shape
+    if rows <= _RANK_BLOCK:
+        return len(_eliminate(m, p, reduce_above=False))
+    pivots: list = []
+    for lo in range(0, rows, _RANK_BLOCK):
+        r = len(pivots)
+        block = m[lo:lo + _RANK_BLOCK]
+        lead = block[:, pivots]
+        used = np.flatnonzero(lead.any(axis=0))
+        for k in range(0, used.size, _RANK_BLOCK):
+            u = used[k:k + _RANK_BLOCK]
+            block = (block - matmul_modp(lead[:, u], m[u], p)) % p
+        if not block.any():
+            continue
+        # row operations keep a zero column zero: eliminate on the others
+        live = np.flatnonzero(block.any(axis=0))
+        dense = block[:, live]
+        new = live[_eliminate(dense, p, reduce_above=True)].tolist()
+        fresh = np.zeros((len(new), cols), dtype=np.int64)
+        fresh[:, live] = dense[: len(new)]
+        hit = np.flatnonzero(m[:r, new].any(axis=1))
+        for k in range(0, hit.size, _RANK_BLOCK):
+            h = hit[k:k + _RANK_BLOCK]
+            m[h] = (m[h] - matmul_modp(m[h][:, new], fresh, p)) % p
+        m[r:r + len(new)] = fresh
+        pivots += new
+        if len(pivots) == cols:
+            break
+    return len(pivots)
+
+
 def rank_modp(a: np.ndarray, p: int) -> int:
-    return len(_eliminate(a % p, p, reduce_above=False))
+    return _rank_reduced(a % p, p)
 
 
 def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
@@ -118,6 +208,83 @@ def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     basis[range(len(free)), free] = 1
     basis[:, pivots] = (-r[: len(pivots), free].T) % p
     return basis
+
+
+def _column_components(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """Component label of each column, columns linked by a shared nonzero row.
+
+    Every nonzero is linked to the first nonzero of its row.  A round
+    lowers the label of each link's larger root to the smaller, then
+    follows labels until each is a root; rounds repeat until every link
+    joins equal labels.  A label is always a column of the same component
+    and only decreases, so this ends with one label per component.
+    """
+    label = np.arange(ncols)
+    order = np.argsort(rows, kind="stable")
+    r, c = rows[order], cols[order]
+    head = c[np.searchsorted(r, r)]
+    while True:
+        a, b = label[head], label[c]
+        if np.array_equal(a, b):
+            return label
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def nullspace_rref_sparse(rows, cols, vals, ncols: int, p: int) -> np.ndarray:
+    """RREF basis of the right nullspace of a sparse matrix, by column components.
+
+    The matrix has the residue ``vals[t]`` at (``rows[t]``, ``cols[t]``),
+    at most one entry per position, and ``ncols`` columns.  Columns that
+    share no row with another component's columns split the nullspace into
+    a direct sum, and the RREF of a direct sum over disjoint columns is the
+    union of the parts' RREFs.  A zero column is its own null vector, a
+    nonzero column alone in its component has none, and every larger
+    component is one ``nullspace_modp`` on its dense block with the columns
+    reversed: a null vector built there on a free column f has its other
+    entries right of f, so the block's basis is already in RREF.  Returns
+    the same (nullity, ncols) array as the RREF of ``nullspace_modp`` on
+    the dense matrix, rows in pivot order.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(vals, dtype=np.int64)
+    label = _column_components(rows, cols, ncols)
+    size = np.bincount(label, minlength=ncols)
+    start = np.cumsum(size) - size
+    members_of = np.argsort(label, kind="stable")  # each component's columns, ascending
+    # a column's place in its component, counted from the right
+    flip = np.empty(ncols, dtype=np.intp)
+    flip[members_of] = (start + size - 1)[label[members_of]] - np.arange(ncols)
+    # entries by component, then by row; row_id numbers the distinct rows
+    order = np.lexsort((rows, label[cols]))
+    r, c, v, at = rows[order], cols[order], vals[order], label[cols[order]]
+    row_id = np.cumsum(np.r_[True, (r[1:] != r[:-1]) | (at[1:] != at[:-1])]) - 1
+    roots = np.flatnonzero(size > 1)
+    zero_cols = np.flatnonzero(np.bincount(cols, minlength=ncols) == 0)
+    pieces = []
+    for root, lo, hi in zip(roots, np.searchsorted(at, roots), np.searchsorted(at, roots, "right")):
+        local = row_id[lo:hi] - row_id[lo]
+        block = np.zeros((int(local[-1]) + 1, size[root]), dtype=np.int64)
+        block[local, flip[c[lo:hi]]] = v[lo:hi]
+        basis = nullspace_modp(block, p)[::-1, ::-1]
+        if basis.shape[0]:
+            pieces.append((members_of[start[root]:start[root] + size[root]], basis))
+    out = np.zeros((zero_cols.size + sum(b.shape[0] for _, b in pieces), ncols), dtype=np.int64)
+    out[np.arange(zero_cols.size), zero_cols] = 1
+    pivots = [zero_cols]
+    k = zero_cols.size
+    for members, basis in pieces:
+        out[k:k + basis.shape[0], members] = basis
+        pivots.append(members[(basis != 0).argmax(axis=1)])
+        k += basis.shape[0]
+    return out[np.argsort(np.concatenate(pivots), kind="stable")]
 
 
 def solve_modp(a: np.ndarray, b: np.ndarray, p: int):
@@ -238,7 +405,7 @@ def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
     if not coeffs.size:
         return 0
     e = field.e
-    r = len(_eliminate(blocked_coefficients(coeffs, field), field.p, reduce_above=False))
+    r = _rank_reduced(blocked_coefficients(coeffs, field), field.p)
     if r % e:
         raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
     return r // e

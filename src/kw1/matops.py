@@ -173,6 +173,18 @@ class PrimeOps:
     def scale(self, a, c):
         return (a * (int(c) % self.p)) % self.p
 
+    def combination(self, c0, terms, d):
+        """c0 I + sum c a over the (c, a) pairs, reduced once.
+
+        int64: each term is below p^2, so the sum is exact while
+        (len(terms) + 1) p^2 < 2^63.
+        """
+        out = np.zeros((d, d), dtype=np.int64)
+        for c, a in terms:
+            out += int(c) * a
+        out[np.diag_indices(d)] += int(c0)
+        return out % self.p
+
     def transpose(self, a):
         return a.T.copy()
 
@@ -296,6 +308,13 @@ class ExtOps:
 
     def scale(self, a, c):
         return [[x * c for x in row] for row in a]
+
+    def combination(self, c0, terms, d):
+        """c0 I + sum c a over the (c, a) pairs."""
+        out = self.scale(self.identity(d), c0)
+        for c, a in terms:
+            out = [[x + c * y for x, y in zip(ro, ra)] for ro, ra in zip(out, a)]
+        return out
 
     def transpose(self, a):
         return [list(col) for col in zip(*a)]

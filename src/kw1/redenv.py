@@ -172,15 +172,18 @@ class SplitReport:
 
 
 def _random_algebra_element(ops, mats, d, rng):
-    """Random element of the unital algebra generated by the action."""
-    r = ops.scale(ops.identity(d), ops.random_scalar(rng))
-    for a in mats:
-        r = ops.add(r, ops.scale(a, ops.random_scalar(rng)))
+    """Random element c0 I + sum c_a A_a (+ c A_i A_j) of the unital algebra.
+
+    The scalars are drawn in that order, then the element is formed as one
+    combination.
+    """
+    c0 = ops.random_scalar(rng)
+    terms = [(ops.random_scalar(rng), a) for a in mats]
     if len(mats) >= 2 and rng.random() < 0.5:
         i = rng.randrange(len(mats))
         j = rng.randrange(len(mats))
-        r = ops.add(r, ops.scale(ops.matmul(mats[i], mats[j]), ops.random_scalar(rng)))
-    return r
+        terms.append((ops.random_scalar(rng), ops.matmul(mats[i], mats[j])))
+    return ops.combination(c0, terms, d)
 
 
 def _spin(ops, start_vectors, mats, width):

@@ -329,7 +329,9 @@ def test_rank_above_p_ind_self_check(make_algebra, monkeypatch):
 def test_nullspace_centrality_self_check(make_algebra, monkeypatch):
     # every monomial claimed central, but x is not in the Heisenberg algebra
     monkeypatch.setattr(
-        linalg, "nullspace_modp", lambda a, p: np.eye(a.shape[1], dtype=np.int64)
+        linalg,
+        "nullspace_rref_sparse",
+        lambda rows, cols, vals, ncols, p: np.eye(ncols, dtype=np.int64),
     )
     with pytest.raises(SelfCheckFailure, match="exact centrality"):
         center_basis_bounded(make_algebra("heisenberg", 3), 1)
@@ -354,7 +356,10 @@ def test_commutator_matrix_matches_pbw_bracket(p):
                     br = pbw_bracket(ue_gen(alg, i), ue_monomial(alg, m))
                     for m2, c in br.terms.items():
                         want[i * len(monos) + index[m2], col] = c
-            got = center._commutator_matrix(alg, monos, index)
+            rows, cols, vals = center._commutator_entries(alg, monos, index)
+            assert len(set(zip(rows, cols))) == len(rows) and all(vals)
+            got = np.zeros_like(want)
+            got[rows, cols] = vals
             assert np.array_equal(got, want), (name, p, bound)
 
 
@@ -451,6 +456,21 @@ def test_matrix_budget_boundary():
     assert info.value.count == 2 * 8 * (2**13 + 1) ** 2
     assert info.value.cap == center.MATRIX_BYTES_CAP
     assert "bytes" in str(info.value)
+
+
+def test_rank_budget_boundary():
+    from kw1.errors import DegreeBoundTooLargeForMemory
+
+    # 2^12 x 2^14 over F_p: coefficient array and blocked form are 2^30 bytes
+    assert 8 * 2**12 * 2**14 * 1 * 2 == center.MATRIX_BYTES_CAP
+    center._check_rank_budget(2**12, 2**14, 1)
+    with pytest.raises(DegreeBoundTooLargeForMemory, match="rank") as info:
+        center._check_rank_budget(2**12 + 1, 2**14, 1)
+    assert info.value.count == 8 * (2**12 + 1) * 2**14 * 2
+    # e (e + 1) bytes per entry: 0.8 GB at e = 4, 1.2 GB at e = 5
+    center._check_rank_budget(2000, 2500, 4)
+    with pytest.raises(DegreeBoundTooLargeForMemory):
+        center._check_rank_budget(2000, 2500, 5)
 
 
 def test_center_space_refuses_matrix_over_budget(make_algebra):

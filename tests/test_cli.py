@@ -392,6 +392,22 @@ def test_count_options_below_their_minimum_are_input_errors(argv, option, capsys
     assert f"argument {option}: must be >=" in capsys.readouterr().err
 
 
+def test_check_refuses_rank_matrices_over_budget(capsys):
+    import tracemalloc
+
+    # the 1821 x 1316 rank over F_{7^8} at D = 12 needs 1.38 GB for its
+    # coefficient array and blocked form, over the 1 GiB cap
+    argv = ["check", "--example", "abelian:4", "--primes", "7", "--degree-bound", "12", "--ext", "8"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    assert "bytes of specialized rank matrices exceed" in capsys.readouterr().err
+
+
 def test_zero_variable_algebra(capsys):
     assert main(["check", "--example", "abelian:0", "--primes", "3"]) == 0
     report = json.loads(capsys.readouterr().out)["reports"][0]

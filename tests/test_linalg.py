@@ -230,3 +230,134 @@ def test_kernels_exact_at_the_largest_prime():
         assert [tuple(int(c) for c in row) for row in got] == [(x * y).coeffs for x, y in zip(xs, ys)]
         rows = [[xs[0], xs[1]], [xs[0] * ys[2], xs[1] * ys[2]], [ys[3], ys[4]]]
         assert linalg.rank(rows, field) == linalg.rank_ff(rows, field)
+
+
+# ---------------------------------------------------------------------------
+# the product helper and the blocked rank, against exact integers and the
+# unblocked elimination
+# ---------------------------------------------------------------------------
+
+# float64 products (p = 2, 7, 65521), int64 chunks of two columns
+# (2^31 - 1) and rank-1 steps (the largest exact prime)
+KERNEL_PRIMES = (2, 7, 65521, 2**31 - 1, BELOW)
+
+
+def _exact_product(a, b, p):
+    return (a.astype(object) @ b.astype(object)) % p
+
+
+def test_matmul_modp_exact_on_every_path():
+    rng = np.random.default_rng(11)
+    assert (2**63 - (2**31 - 1)) // (2**31 - 2) ** 2 == 2
+    assert (2**63 - BELOW) // (BELOW - 1) ** 2 == 1
+    for p in KERNEL_PRIMES:
+        for n, k, m in ((1, 1, 1), (5, 7, 3), (9, 40, 11), (3, 0, 4)):
+            a = rng.integers(0, p, (n, k), dtype=np.int64)
+            b = rng.integers(0, p, (k, m), dtype=np.int64)
+            if k:
+                a[0] = p - 1  # the largest possible sums
+                b[:, 0] = p - 1
+            got = linalg.matmul_modp(a, b, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == _exact_product(a, b, p).tolist(), (p, n, k, m)
+
+
+def test_matmul_modp_float_bound_boundary():
+    p = 3000017  # prime; 1000 (p - 1)^2 < 2^53 <= 1001 (p - 1)^2
+    assert 1000 * (p - 1) ** 2 < 2**53 <= 1001 * (p - 1) ** 2
+    below = np.full((1, 1000), p - 1, dtype=np.int64)
+    got = linalg.matmul_modp(below, below.T.copy(), p)
+    assert int(got[0, 0]) == 1000 * (p - 1) ** 2 % p
+    # just above: the sum 1000 (p - 1)^2 + (p - 2)^2 is odd and past 2^53,
+    # so float64 cannot hold it, and the helper must take the int64 path
+    above = np.full((1, 1001), p - 1, dtype=np.int64)
+    above[0, -1] = p - 2
+    exact = 1000 * (p - 1) ** 2 + (p - 2) ** 2
+    assert exact > 2**53 and exact % 2
+    assert int((above.astype(np.float64) @ above.T.astype(np.float64))[0, 0]) != exact
+    got = linalg.matmul_modp(above, above.T.copy(), p)
+    assert int(got[0, 0]) == exact % p
+
+
+def _rank_shapes(p, rng):
+    """Matrices taller than one block: tall, wide, low rank, sparse, repeats."""
+    def rand(r, c):
+        return rng.integers(0, p, (r, c), dtype=np.int64)
+
+    low = _exact_product(rand(230, 6), rand(6, 90), p).astype(np.int64)
+    zeros = rand(150, 40)
+    zeros[rng.choice(150, 60, replace=False)] = 0
+    base = rand(30, 50)
+    dup = base[rng.integers(0, 30, 200)]
+    # one row times scalars: every later block meets a single echelon row
+    line = rng.integers(1, p, (140, 1), dtype=np.int64) * rand(1, 20) % p
+    sparse = np.zeros((300, 120), dtype=np.int64)
+    sparse[np.arange(300), rng.integers(0, 120, 300)] = rng.integers(1, p, 300)
+    wide = rand(100, 260)
+    wide[70:] = _exact_product(rng.integers(0, p, (30, 70)), wide[:70], p).astype(np.int64)
+    return [rand(200, 30), rand(65, 65), wide, low, zeros, dup, line, sparse, np.zeros((130, 9), dtype=np.int64)]
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_blocked_rank_matches_eliminate(p):
+    rng = np.random.default_rng(p % 1000)
+    for a in _rank_shapes(p, rng):
+        assert a.shape[0] > linalg._RANK_BLOCK
+        want = len(linalg._eliminate(a % p, p, reduce_above=False))
+        assert linalg.rank_modp(a, p) == want, (p, a.shape)
+
+
+def test_blocked_rank_over_an_extension():
+    rng = random.Random(12)
+    for p, e in ((3, 2), (2, 4), (7, 3)):
+        field = galois_field(p, e)
+        left = [[field.random(rng) for _ in range(3)] for _ in range(50)]
+        right = [[field.random(rng) for _ in range(8)] for _ in range(3)]
+        a = [
+            [sum((row[k] * right[k][j] for k in range(3)), field.zero) for j in range(8)]
+            for row in left
+        ]
+        assert len(a) * e > linalg._RANK_BLOCK
+        assert linalg.rank(a, field) == linalg.rank_ff(a, field)
+
+
+# ---------------------------------------------------------------------------
+# the nullspace by column components
+# ---------------------------------------------------------------------------
+
+def _dense_null_rref(a, p):
+    basis = linalg.nullspace_modp(a, p)
+    if basis.shape[0] == 0:
+        return basis
+    reduced, pivots = linalg.rref_modp(basis, p)
+    return reduced[: len(pivots)]
+
+
+def _block_diagonal(rng, p):
+    """Random blocks on the diagonal, then rows and columns shuffled."""
+    blocks = [rng.integers(0, p, (rng.integers(1, 5), rng.integers(1, 5))) for _ in range(rng.integers(0, 7))]
+    blocks = [b * (rng.random(b.shape) < rng.random()) for b in blocks]
+    blocks += [np.array([[rng.integers(1, p)]]), np.array([[rng.integers(1, p)], [rng.integers(1, p)]])]
+    blocks.append(rng.integers(0, p, (12, 9)))  # one dense block
+    rows = sum(b.shape[0] for b in blocks) + 3
+    cols = sum(b.shape[1] for b in blocks) + int(rng.integers(0, 4))  # zero columns
+    a = np.zeros((rows, cols), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        a[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return a[rng.permutation(rows)][:, rng.permutation(cols)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 65521])
+def test_component_nullspace_matches_dense(p):
+    rng = np.random.default_rng(p)
+    cases = [_block_diagonal(rng, p) for _ in range(25)]
+    cases += [np.zeros((3, 5), dtype=np.int64), np.eye(4, dtype=np.int64), np.zeros((2, 0), dtype=np.int64)]
+    for a in cases:
+        rows, cols = np.nonzero(a)
+        got = linalg.nullspace_rref_sparse(rows, cols, a[rows, cols], a.shape[1], p)
+        want = _dense_null_rref(a, p)
+        assert got.dtype == np.int64 and got.shape == (want.shape[0], a.shape[1])
+        assert np.array_equal(got, want)

@@ -446,6 +446,31 @@ def reference_cases(make_algebra):
     return cases
 
 
+def random_element_stepwise(ops, mats, d, rng):
+    """The random element built by n + 1 scale and add steps, each reduced."""
+    r = ops.scale(ops.identity(d), ops.random_scalar(rng))
+    for a in mats:
+        r = ops.add(r, ops.scale(a, ops.random_scalar(rng)))
+    if len(mats) >= 2 and rng.random() < 0.5:
+        i = rng.randrange(len(mats))
+        j = rng.randrange(len(mats))
+        r = ops.add(r, ops.scale(ops.matmul(mats[i], mats[j]), ops.random_scalar(rng)))
+    return r
+
+
+def test_random_algebra_element_matches_stepwise_reference(make_algebra):
+    backends = set()
+    for ops, mats, d, _starts in reference_cases(make_algebra):
+        backends.add(type(ops).__name__)
+        for seed in range(8):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got = redenv._random_algebra_element(ops, mats, d, got_rng)
+            want = random_element_stepwise(ops, mats, d, want_rng)
+            assert same_matrix(ops, got, want)
+            assert got_rng.getstate() == want_rng.getstate()
+    assert backends == {"PrimeOps", "ExtOps"}
+
+
 def test_spin_matches_full_queue_reference(make_algebra):
     proper = full = 0
     for ops, mats, d, starts in reference_cases(make_algebra):
