@@ -13,6 +13,11 @@ the width (the rank never exceeds it).  So a new row is written in place
 instead of re-stacking the matrix, and a wide echelon (the Burnside one
 has width d^2) allocates for its rank, never width x width up front.
 
+``insert_all`` inserts a batch of rows in order with the result of one
+``insert`` each.  The prime echelon reduces the whole batch by its basis
+in one product, then updates only the later rows of the batch for each
+row it accepts; the extension echelon loops ``insert``.
+
 Each backend has this one row reduction.  ``krylov_minpoly`` runs on it
 too: row k of its echelon is (r^k v | e_k), and the first row whose left
 half reduces to zero carries the minimal polynomial in its right half.
@@ -98,7 +103,42 @@ class PrimeEchelon:
         nz = v.nonzero()[0]
         if nz.size == 0:
             return None
-        piv = int(nz[0])
+        return self._append(v, int(nz[0]))
+
+    def insert_all(self, rows):
+        """Insert the rows in order, as one ``insert`` each would.
+
+        Returns the indices of the accepted rows, and stops once the span
+        is the whole width.  One product reduces every row by the basis.
+        After that, accepting a row u with pivot q takes R_j to
+        R_j - R_j[q] u for each later row R_j, which in full RREF is what
+        reducing R_j by the grown basis gives: the rows, pivots and
+        accepted indices are those of the sequential inserts.
+        """
+        p = self.p
+        width = self._buf.shape[1]
+        rows = np.asarray(rows) % p
+        k = len(self.pivots)
+        if k:
+            rows = (rows - rows[:, self.pivots] @ self._buf[:k]) % p
+        accepted = []
+        for j, v in enumerate(rows):
+            nz = v.nonzero()[0]
+            if nz.size == 0:
+                continue
+            piv = self._append(v, int(nz[0]))
+            accepted.append(j)
+            if len(self.pivots) == width:
+                break
+            if j + 1 < len(rows):
+                # a handful of rows, nearly all nonzero at piv: update them all
+                later = rows[j + 1 :]
+                later -= later[:, piv, None] * self._buf[len(self.pivots) - 1]
+                later %= p
+        return accepted
+
+    def _append(self, v, piv):
+        """Add a reduced row v with first nonzero at ``piv``, scaled to 1 there."""
         v = (v * pow(int(v[piv]), -1, self.p)) % self.p
         k = len(self.pivots)
         rows = self._buf[:k]
@@ -112,10 +152,11 @@ class PrimeEchelon:
 class ExtEchelon:
     """Full-RREF basis over an extension field, elementwise."""
 
-    __slots__ = ("field", "rows", "pivots")
+    __slots__ = ("field", "width", "rows", "pivots")
 
     def __init__(self, field, width):
         self.field = field
+        self.width = width
         self.rows = []
         self.pivots = []
 
@@ -145,6 +186,16 @@ class ExtEchelon:
         self.rows.append(v)
         self.pivots.append(piv)
         return piv
+
+    def insert_all(self, rows):
+        """As ``PrimeEchelon.insert_all``, one ``insert`` per row."""
+        accepted = []
+        for j, v in enumerate(rows):
+            if self.insert(v) is not None:
+                accepted.append(j)
+                if self.dim == self.width:
+                    break
+        return accepted
 
 
 class PrimeOps:
@@ -202,6 +253,13 @@ class PrimeOps:
 
     def stack(self, vectors):
         return np.array([np.asarray(v) for v in vectors], dtype=np.int64)
+
+    def vstack(self, mats):
+        return np.concatenate(mats)
+
+    def reshape(self, a, width):
+        """The entries of a vector or matrix, row by row, as rows of ``width``."""
+        return a.reshape(-1, width)
 
     def new_echelon(self, width):
         return PrimeEchelon(self.p, width)
@@ -335,6 +393,14 @@ class ExtOps:
 
     def stack(self, vectors):
         return [list(v) for v in vectors]
+
+    def vstack(self, mats):
+        return [row for a in mats for row in a]
+
+    def reshape(self, a, width):
+        """The entries of a vector or matrix, row by row, as rows of ``width``."""
+        flat = [x for row in a for x in row] if isinstance(a[0], list) else a
+        return [flat[i : i + width] for i in range(0, len(flat), width)]
 
     def new_echelon(self, width):
         return ExtEchelon(self.field, width)

@@ -28,6 +28,33 @@ since the factors of a polynomial do not depend on the factoring RNG.
 A spin returns as soon as its span is the whole space, where no further
 vector could be accepted.  Restriction and quotient are one matrix
 product per generator.
+
+A spin stacks its generators once.  The images of each popped vector
+under all of them are then one product, reduced by the echelon as one
+batch and accepted in generator order, which in full RREF gives the rows,
+pivots and queue of one insert per image.  The Burnside count is the
+same spin on d x d matrices flattened row by row, where the images of m
+are the stacked generators times m.
+
+The oracle reads only the largest factor dimension and ``degraded`` of
+each character's regular module, so its splits skip every piece whose
+dimension is at most both the largest factor dimension already found for
+that character and ``BURNSIDE_DIM_CAP``.  This is exact:
+
+- factor dimensions are Jordan-Holder invariants, so a skipped piece
+  holds no factor larger than one already found;
+- s is exact below the cap, so a skipped piece could never set
+  ``degraded``: only an irreducible piece above the cap whose s the good
+  factors leave open does, and such a piece is always split;
+- the skip is per character, so the per-character tops that decide
+  escalation, the witness and M are those of the full splits.
+
+Pieces after a skipped one draw from a later RNG state, so they may split
+along other submodules, but their factors, and so the largest one, stay
+the same.  The one outcome those draws can move is ``degraded`` for a
+piece above the cap whose s is 1 while all ``ENDO_PROBE_TRIES`` probes
+leave it open, a seeded chance in the full split as well.
+``split_simples`` called directly still splits every piece.
 """
 
 from __future__ import annotations
@@ -186,26 +213,30 @@ def _random_algebra_element(ops, mats, d, rng):
     return ops.combination(c0, terms, d)
 
 
+def _closure(ops, start_vectors, images, width):
+    """Echelon of the smallest span containing the starts and closed under ``images``.
+
+    ``images(v)`` gives the images of v under every generator, as rows.
+    Depth first from the last accepted vector, the images of a popped
+    vector inserted in generator order as one batch; returns as soon as
+    the span is the whole space, since no later vector could be accepted.
+    """
+    state = ops.new_echelon(width)
+    queue = [v for v in start_vectors if state.insert(v) is not None]
+    while queue and state.dim < width:
+        rows = images(queue.pop())
+        queue.extend(rows[j] for j in state.insert_all(rows))
+    return state
+
+
 def _spin(ops, start_vectors, mats, width):
     """Smallest subspace containing the starts and stable under all mats.
 
-    Depth first from the last accepted vector; returns as soon as the
-    span is the whole space, since no later vector could be accepted.
+    The generators are stacked once, so the images of a popped vector
+    are one matrix-vector product.
     """
-    state = ops.new_echelon(width)
-    queue = []
-    for v in start_vectors:
-        if state.insert(v) is not None:
-            queue.append(v)
-    while queue and state.dim < width:
-        v = queue.pop()
-        for a in mats:
-            w = ops.matvec(a, v)
-            if state.insert(w) is not None:
-                if state.dim == width:
-                    return state
-                queue.append(w)
-    return state
+    stacked = ops.vstack(mats)
+    return _closure(ops, start_vectors, lambda v: ops.reshape(ops.matvec(stacked, v), width), width)
 
 
 def _restrict(ops, mats, state):
@@ -295,12 +326,6 @@ def _norton_attempt(ops, mats, d, rng):
     return None
 
 
-def _flatten(ops, m, d):
-    if isinstance(m, list):
-        return [x for row in m for x in row]
-    return m.reshape(d * d)
-
-
 def _endomorphism_degree(ops, mats, d, rng, first_bound):
     """Endomorphism field degree of a certified irreducible module.
 
@@ -341,26 +366,19 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
 def _algebra_dimension(ops, mats, d):
     """Dimension of the unital matrix algebra generated by ``mats``.
 
-    A spin like ``_spin``, of the identity under left multiplication, and
-    like it done once the span is all d x d matrices.
+    The spin of the identity under left multiplication, on d x d
+    matrices flattened row by row: the images of m are the stacked
+    generators times m, one product.
     """
-    state = ops.new_echelon(d * d)
-    queue = []
-    ident = ops.identity(d)
-    if state.insert(_flatten(ops, ident, d)) is not None:
-        queue.append(ident)
-    while queue and state.dim < d * d:
-        m = queue.pop()
-        for a in mats:
-            prod = ops.matmul(a, m)
-            if state.insert(_flatten(ops, prod, d)) is not None:
-                if state.dim == d * d:
-                    return state.dim
-                queue.append(prod)
-    return state.dim
+    stacked = ops.vstack(mats)
+    width = d * d
+    start = ops.reshape(ops.identity(d), width)[0]
+    return _closure(
+        ops, [start], lambda w: ops.reshape(ops.matmul(stacked, ops.reshape(w, d)), width), width
+    ).dim
 
 
-def split_simples(module: AlgebraModule, seed: int = 0, ops=None) -> SplitReport:
+def split_simples(module: AlgebraModule, seed: int = 0, ops=None, *, largest_only=False) -> SplitReport:
     """Composition factor dimensions over the splitting field of each factor.
 
     Splitting stays on the module's own field F_q.  A factor that is
@@ -374,6 +392,12 @@ def split_simples(module: AlgebraModule, seed: int = 0, ops=None) -> SplitReport
     ``ops`` is the matrix backend for ``module.field``; every piece of the
     split lives on that field, so one backend, with its factor memo,
     serves the whole call.  Built here when not given.
+
+    ``largest_only`` is the oracle's split: a piece is skipped when its
+    dimension is at most both the largest factor dimension found so far
+    and ``BURNSIDE_DIM_CAP``.  The report then lists only the factors
+    found, but its largest dimension and ``degraded`` are those of the
+    full split (see the module docstring).
     """
     if ops is None:
         ops = ops_for(module.field)
@@ -383,15 +407,17 @@ def split_simples(module: AlgebraModule, seed: int = 0, ops=None) -> SplitReport
     dims = []
     factors = []
     degraded = False
+    top = 0
     stack = [module]
     while stack:
         mod = stack.pop()
         d = mod.dimension
-        if d == 0:
+        if d == 0 or (largest_only and d <= min(top, BURNSIDE_DIM_CAP)):
             continue
         if d == 1:
             dims.append(1)
             factors.append((1, mod.field.order))
+            top = max(top, 1)
             continue
         outcome = None
         for _ in range(MAX_SPLIT_TRIES):
@@ -424,6 +450,7 @@ def split_simples(module: AlgebraModule, seed: int = 0, ops=None) -> SplitReport
         for _ in range(s):
             dims.append(d // s)
             factors.append((d // s, mod.field.order**s))
+        top = max(top, d // s)
     return SplitReport(dims=tuple(sorted(dims)), factors=tuple(factors), degraded=degraded)
 
 
@@ -494,7 +521,9 @@ def max_irreducible_dim(
         for chi in _characters(alg, field, samples, rng):
             u = reduced_algebra(alg, chi, dim_cap=dim_cap)
             module = regular_representation(u)
-            report = split_simples(module, seed=derive_seed(tag, seed, chi.render()), ops=ops)
+            report = split_simples(
+                module, seed=derive_seed(tag, seed, chi.render()), ops=ops, largest_only=True
+            )
             top = max(report.dims)
             degraded = degraded or report.degraded
             seen.append(top)

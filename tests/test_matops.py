@@ -111,6 +111,112 @@ def test_first_insert_into_burnside_echelon_allocates_under_one_megabyte():
 
 
 # ---------------------------------------------------------------------------
+# batched inserts
+# ---------------------------------------------------------------------------
+
+BATCH_FIELDS = (
+    prime_field(2),
+    prime_field(3),
+    prime_field(7),
+    galois_field(2, 2, seed=1),
+    galois_field(3, 2, seed=1),
+)
+
+
+def combine(ops, coeffs, vectors, width):
+    """sum c v; over F_p the entries are left unreduced, as insert accepts them."""
+    if isinstance(ops, matops.PrimeOps):
+        return sum((c * np.asarray(v) for c, v in zip(coeffs, vectors)), np.zeros(width, dtype=np.int64))
+    f = ops.field
+    out = [f.zero] * width
+    for c, v in zip(coeffs, vectors):
+        out = [x + c * y for x, y in zip(out, v)]
+    return out
+
+
+def batch_cases(ops, rng):
+    """(width, prefill rows, batch) triples.
+
+    The batches hold zero rows, duplicates, rows already in the span of
+    the prefill and of earlier batch rows, and batches that fill the width
+    part way through, with independent rows after the fill.
+    """
+    if isinstance(ops, matops.PrimeOps):
+        scalar = lambda: rng.randrange(-ops.p, 3 * ops.p)  # noqa: E731
+    else:
+        scalar = lambda: ops.field.random(rng)  # noqa: E731
+    cases = []
+    for width in (1, 2, 3, 5, 8, 12):
+        for k in sorted({0, 1, width // 2, width - 1}):
+            prefill = [ops.random_vector(width, rng) for _ in range(k)]
+            zero = combine(ops, [], [], width)
+            fresh = [ops.random_vector(width, rng) for _ in range(width + 3)]
+            mixed = [
+                zero,
+                fresh[0],
+                fresh[0],
+                combine(ops, [scalar(), scalar()], [fresh[0], prefill[0] if prefill else fresh[0]], width),
+                zero,
+                fresh[1],
+                combine(ops, [scalar(), scalar()], [fresh[0], fresh[1]], width),
+                fresh[2],
+            ]
+            filling = fresh[:2] + [combine(ops, [scalar()], [fresh[0]], width)] + fresh[2:]
+            for batch in (mixed, filling, [zero, zero], fresh[:1]):
+                cases.append((width, prefill, batch))
+    return cases
+
+
+def sequential_inserts(state, batch, width):
+    """The spin's earlier loop: one insert per row, returning once full."""
+    accepted = []
+    for j, v in enumerate(batch):
+        if state.insert(v) is not None:
+            accepted.append(j)
+            if state.dim == width:
+                break
+    return accepted
+
+
+@pytest.mark.parametrize("field", BATCH_FIELDS, ids=lambda f: f"F{f.order}")
+def test_insert_all_matches_sequential_inserts(field, monkeypatch):
+    ops = matops.ops_for(field)
+    rng = random.Random(field.order)
+    prime = isinstance(ops, matops.PrimeOps)
+    calls = []
+    if not prime:
+        real_insert = matops.ExtEchelon.insert
+
+        def counted(self, v):
+            calls.append(1)
+            return real_insert(self, v)
+
+        monkeypatch.setattr(matops.ExtEchelon, "insert", counted)
+    fills = 0
+    for width, prefill, batch in batch_cases(ops, rng):
+        got, want = ops.new_echelon(width), ops.new_echelon(width)
+        for v in prefill:
+            got.insert(v)
+            want.insert(v)
+        calls.clear()
+        want_accepted = sequential_inserts(want, batch, width)
+        want_calls = len(calls)
+        calls.clear()
+        rows = np.array(batch, dtype=np.int64) if prime else batch
+        before = rows.copy() if prime else [list(v) for v in batch]
+        assert got.insert_all(rows) == want_accepted
+        assert got.pivots == want.pivots
+        assert (got.rows == want.rows).all() if prime else got.rows == want.rows
+        # the caller's rows are left as they were
+        assert (rows == before).all() if prime else rows == before
+        if not prime:
+            assert len(calls) == want_calls  # no insert past the one that fills the width
+        if want.dim == width and want_accepted and want_accepted[-1] < len(batch) - 1:
+            fills += 1
+    assert fills >= 10
+
+
+# ---------------------------------------------------------------------------
 # Krylov minimal polynomials on the backend echelon
 # ---------------------------------------------------------------------------
 

@@ -501,6 +501,46 @@ def test_restrict_and_quotient_match_elementwise_reference(make_algebra):
     assert checked >= 4
 
 
+def algebra_dimension_one_insert_per_image(ops, mats, d):
+    """The earlier Burnside spin: a queue of matrices, each product flattened and inserted alone."""
+
+    def flatten(m):
+        if isinstance(m, list):
+            return [x for row in m for x in row]
+        return m.reshape(d * d)
+
+    state = ops.new_echelon(d * d)
+    queue = []
+    ident = ops.identity(d)
+    if state.insert(flatten(ident)) is not None:
+        queue.append(ident)
+    while queue and state.dim < d * d:
+        m = queue.pop()
+        for a in mats:
+            prod = ops.matmul(a, m)
+            if state.insert(flatten(prod)) is not None:
+                if state.dim == d * d:
+                    return state.dim
+                queue.append(prod)
+    return state.dim
+
+
+def test_algebra_dimension_matches_one_insert_per_image(make_algebra):
+    rng = np.random.default_rng(5)
+    cases = [(ops, mats, d) for ops, mats, d, _starts in reference_cases(make_algebra)]
+    # one block: the whole matrix algebra, so the spin stops at d^2
+    for p, d in ((2, 4), (3, 5), (7, 3)):
+        cases.append((ops_for(prime_field(p)), random_fp_module(p, (d,), 2, rng)[0], d))
+    weyl = heisenberg_weyl_module()
+    cases.append((ops_for(weyl.field), weyl.mats, weyl.dimension))
+    dims = []
+    for ops, mats, d in cases:
+        got = redenv._algebra_dimension(ops, mats, d)
+        assert got == algebra_dimension_one_insert_per_image(ops, mats, d)
+        dims.append(got == d * d)
+    assert sum(dims) >= 4 and not all(dims)
+
+
 # ---------------------------------------------------------------------------
 # the MeatAxe path, pinned
 # ---------------------------------------------------------------------------
@@ -581,3 +621,50 @@ def test_split_simples_rejects_a_backend_over_another_field(make_algebra):
     module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 1)))
     with pytest.raises(CoefficientFieldMismatch, match="backend"):
         split_simples(module, ops=ops_for(prime_field(5)))
+
+
+# ---------------------------------------------------------------------------
+# the oracle's largest-factor pruning
+# ---------------------------------------------------------------------------
+
+# the pairs of the oracle output check with p^n <= 27
+PRUNING_PAIRS = (
+    ("sl2", 3), ("nonabelian2", 3), ("heisenberg", 3), ("remark:1:2", 3), ("remark:2:3", 3),
+    ("remark:1:1", 3), ("abelian:2", 3), ("nonabelian2", 5), ("heisenberg", 2), ("remark:1:1", 2),
+    ("sl2", 2),
+)
+
+
+def test_pruned_split_keeps_the_top_and_degraded_of_the_full_split(make_algebra, monkeypatch):
+    # every character the oracle samples is split both ways
+    compared = []
+    real = redenv.split_simples
+
+    def both(module, seed=0, ops=None, *, largest_only=False):
+        assert largest_only
+        pruned = real(module, seed=seed, ops=ops, largest_only=True)
+        full = real(module, seed=seed, ops=ops)
+        assert (max(pruned.dims), pruned.degraded) == (max(full.dims), full.degraded)
+        compared.append(len(full.dims) - len(pruned.dims))
+        return pruned
+
+    monkeypatch.setattr(redenv, "split_simples", both)
+    for name, p in PRUNING_PAIRS:
+        alg = make_algebra(name, p)
+        assert p**alg.n <= 27
+        max_irreducible_dim(alg, samples=10, seed=0)
+    assert len(compared) >= 150
+    assert sum(compared) > 0  # pieces were skipped
+
+
+def test_pruning_still_splits_pieces_above_the_burnside_cap(make_algebra, monkeypatch):
+    # with the cap at 2, each 3-dimensional factor of remark:1:2 at
+    # chi = (0, 0, 1) is above it, and one leaves s open (degraded); every
+    # one of them is at most the largest factor found, yet must be split
+    monkeypatch.setattr(redenv, "BURNSIDE_DIM_CAP", 2)
+    alg = make_algebra("remark:1:2", 3)
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 1)))
+    full = split_simples(module, seed=0)
+    pruned = split_simples(module, seed=0, largest_only=True)
+    assert full.degraded and full.dims == (3,) * 9
+    assert pruned == full
