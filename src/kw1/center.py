@@ -238,8 +238,8 @@ def _check_rank_budget(rows: int, cols: int, e: int):
 
     A rank holds the (rows, cols, e) int64 coefficient array and its
     (rows e) x (cols e) blocked F_p form at once, 8 rows cols e (e + 1)
-    bytes; temporaries come on top, each at most the size of the
-    coefficient array.
+    bytes.  ``linalg.blocked_coefficients`` allocates no temporary, and
+    the rank's own temporaries are per block of rows.
     """
     nbytes = 8 * rows * cols * e * (e + 1)
     if nbytes > MATRIX_BYTES_CAP:

@@ -376,24 +376,27 @@ def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
     ``coeffs`` is the (rows, cols, e) int64 array of entry coefficients,
     reduced mod p.  Entry a becomes the e x e block of multiplication by a,
     whose entry [i][j] is coefficient i of a * t^j (as in
-    ``GF.mul_matrix``).  Column j of every block is written at once,
-    straight into the final layout, from the coefficient array of a * t^j:
-    a shift folded through the reduction table.  int64: each entry is one
+    ``GF.mul_matrix``).  Block column 0 is ``coeffs``; block column j is
+    block column j - 1 times t, a shift folded through the reduction
+    table, written straight into the final layout one (rows, cols) slice
+    at a time, so no temporary is allocated.  int64: each entry is one
     residue plus a product of two, below p (p - 1).
     """
     p, e = field.p, field.e
-    cur = coeffs
-    nrows, ncols = cur.shape[:2]
+    nrows, ncols = coeffs.shape[:2]
     big = np.empty((nrows * e, ncols * e), dtype=np.int64)
     # a view: blocks[r, i, c, j] is big[r * e + i, c * e + j]
     blocks = big.reshape(nrows, e, ncols, e)
-    red = np.array(field._red[0], dtype=np.int64) if e > 1 else None  # t^e
-    for j in range(e):
-        if j:
-            top = cur[:, :, e - 1:]
-            cur = np.concatenate((np.zeros_like(top), cur[:, :, : e - 1]), axis=2)
-            cur = (cur + top * red) % p
-        blocks[:, :, :, j] = cur.transpose(0, 2, 1)
+    blocks[:, :, :, 0] = coeffs.transpose(0, 2, 1)
+    red = field._red[0] if e > 1 else ()  # coefficients of t^e
+    for j in range(1, e):
+        top = blocks[:, e - 1, :, j - 1]
+        for i in range(e):
+            out = blocks[:, i, :, j]
+            np.multiply(top, red[i], out=out)
+            if i:
+                out += blocks[:, i - 1, :, j - 1]
+            out %= p
     return big
 
 

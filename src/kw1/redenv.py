@@ -55,6 +55,16 @@ the same.  The one outcome those draws can move is ``degraded`` for a
 piece above the cap whose s is 1 while all ``ENDO_PROBE_TRIES`` probes
 leave it open, a seeded chance in the full split as well.
 ``split_simples`` called directly still splits every piece.
+
+The oracle also splits each distinct sampled character once per
+sampling field.  A split depends only on the character: its module is
+the regular representation of u_chi and its seed is derived from the
+run's tag and the rendered character.  All characters of a run are
+drawn before the first split, so skipping repeats moves no RNG draw;
+first occurrences keep their order, so the maximum and its witness (the
+first character reaching it) stay; and a repeat adds nothing to the set
+of per-character tops that decides escalation, nor to the OR of
+``degraded``.
 """
 
 from __future__ import annotations
@@ -505,6 +515,14 @@ def max_irreducible_dim(
     first; when every sample agrees on a value smaller than the
     expected generic dimension p^((n - ind)/2), sampling escalates once
     to F_{p^2} to dodge non-generic rational strata.
+
+    Random characters are drawn with replacement, and each distinct one
+    is split once per sampling field.  The result is that of splitting
+    every sample: a split depends only on the character (its module and
+    its seed), every draw is made before the first split, first
+    occurrences keep their order, so the witness (the first character
+    reaching the maximum) is the same, and a repeat changes neither the
+    set of values that decides escalation nor ``degraded``.
     """
     if alg.p**alg.n > dim_cap:
         raise DimensionCap(alg.p**alg.n, dim_cap)
@@ -518,7 +536,8 @@ def max_irreducible_dim(
         witness = None
         seen = []
         degraded = False
-        for chi in _characters(alg, field, samples, rng):
+        # a repeat would split the same module with the same seed again
+        for chi in dict.fromkeys(_characters(alg, field, samples, rng)):
             u = reduced_algebra(alg, chi, dim_cap=dim_cap)
             module = regular_representation(u)
             report = split_simples(

@@ -30,6 +30,7 @@ from .errors import DuplicateLabel, JacobiError, ParseError
 from .liealg import LieAlgebraPresentation, validate_presentation
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_NATURAL_RE = re.compile(r"[0-9]+\Z")
 
 
 def _parse_rational(text, location):
@@ -111,18 +112,20 @@ def get_example(name: str) -> LieAlgebraPresentation:
         return gl2()
     if name == "borel2":
         return borel2()
-    if name.startswith("abelian:"):
-        try:
-            return abelian(int(name.split(":")[1]))
-        except (IndexError, ValueError):
-            raise ParseError(f"bad abelian example name {name!r}") from None
-    if name.startswith("remark:"):
-        parts = name.split(":")
-        try:
-            return remark_family(int(parts[1]), int(parts[2]))
-        except (IndexError, ValueError):
-            raise ParseError(f"bad remark example name {name!r}") from None
+    family, colon, params = name.partition(":")
+    if colon and family == "abelian":
+        return abelian(*_parameters(name, params, 1))
+    if colon and family == "remark":
+        return remark_family(*_parameters(name, params, 2))
     raise ParseError(f"unknown example {name!r}")
+
+
+def _parameters(name: str, params: str, count: int) -> tuple:
+    """Exactly ``count`` colon-separated integers >= 0, or a ``ParseError``."""
+    parts = params.split(":")
+    if len(parts) != count or not all(_NATURAL_RE.match(part) for part in parts):
+        raise ParseError(f"bad example name {name!r}: expected {count} integer parameter(s) >= 0")
+    return tuple(int(part) for part in parts)
 
 
 def builtin_examples() -> dict:

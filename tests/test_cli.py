@@ -285,6 +285,23 @@ def test_cross_process_byte_determinism(tmp_path):
     assert first.stdout == second.stdout
 
 
+def test_package_runs_as_a_module_from_the_checkout():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "kw1", "examples"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "remark:N:M" in done.stdout
+
+
 def test_cache_dir_memo_spill(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KW1_CACHE_DIR", str(tmp_path))
     assert main(
@@ -324,6 +341,18 @@ def test_malformed_documents_are_input_errors(doc, capsys):
     with pytest.raises(ParseError):
         parse_document(doc)
     assert main(["check", "--input", json.dumps(doc), "--primes", "3"]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["abelian:-1", "abelian:2:3", "abelian:", "abelian:x", "remark:1:2:9", "remark:1", "remark:0:1"],
+)
+def test_bad_example_names_are_input_errors(name, capsys):
+    # each builtin family takes exactly its own number of parameters
+    with pytest.raises(ParseError):
+        get_example(name)
+    assert main(["check", "--example", name, "--primes", "3"]) == 1
     assert "input error" in capsys.readouterr().err
 
 

@@ -131,6 +131,31 @@ def test_blocked_matrix_blocks_are_mul_matrices():
                     assert block.tolist() == field.mul_matrix(x)
 
 
+def test_blocked_rank_peak_stays_near_the_budgeted_bytes():
+    import tracemalloc
+
+    # center._check_rank_budget counts the (rows, cols, e) coefficient array
+    # and its blocked form, 8 rows cols e (e + 1) bytes; the blocked form is
+    # built without full-size temporaries, and the rank's own are per block
+    rows, cols = 3000, 100
+    for e in (2, 3, 4):
+        field = galois_field(7, e)
+        tracemalloc.start()
+        try:
+            coeffs = np.random.default_rng(e).integers(0, 7, size=(rows, cols, e), dtype=np.int64)
+            assert linalg.rank_coefficient_array(coeffs, field) == cols
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * rows * cols * e * (e + 1), e
+        corner = coeffs[:6, :5]
+        big = linalg.blocked_coefficients(corner, field)
+        for i, row in enumerate(corner):
+            for j, x in enumerate(row):
+                block = big[i * e:(i + 1) * e, j * e:(j + 1) * e]
+                assert block.tolist() == field.mul_matrix(field.elem(x)), e
+
+
 def test_blocked_rank_self_check(monkeypatch):
     from kw1.errors import SelfCheckFailure
 

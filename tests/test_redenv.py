@@ -16,6 +16,7 @@ from kw1.redenv import (
     regular_representation,
     split_simples,
 )
+from kw1.util import derive_seed
 
 
 def chi_of(alg, *values, field=None):
@@ -649,10 +650,13 @@ def test_pruned_split_keeps_the_top_and_degraded_of_the_full_split(make_algebra,
         return pruned
 
     monkeypatch.setattr(redenv, "split_simples", both)
+    # the oracle splits each distinct character once: two seeds keep the
+    # number of splits compared above 150
     for name, p in PRUNING_PAIRS:
         alg = make_algebra(name, p)
         assert p**alg.n <= 27
-        max_irreducible_dim(alg, samples=10, seed=0)
+        for seed in (0, 1):
+            max_irreducible_dim(alg, samples=10, seed=seed)
     assert len(compared) >= 150
     assert sum(compared) > 0  # pieces were skipped
 
@@ -668,3 +672,98 @@ def test_pruning_still_splits_pieces_above_the_burnside_cap(make_algebra, monkey
     pruned = split_simples(module, seed=0, largest_only=True)
     assert full.degraded and full.dims == (3,) * 9
     assert pruned == full
+
+
+# ---------------------------------------------------------------------------
+# the oracle splits each distinct sampled character once
+# ---------------------------------------------------------------------------
+
+def _oracle_splitting_every_sample(alg, samples, seed):
+    """Reference: ``max_irreducible_dim`` splitting every sample, repeats too."""
+    rng = random.Random(derive_seed("oracle", alg.signature(), seed))
+    ind = redenv.index_generic(alg, trials=3, seed=seed)
+    expected = alg.p ** ((alg.n - ind) // 2)
+
+    def run(field, tag):
+        ops = ops_for(field)
+        best, witness, seen, degraded = 0, None, [], False
+        for chi in redenv._characters(alg, field, samples, rng):
+            module = regular_representation(reduced_algebra(alg, chi))
+            report = split_simples(
+                module, seed=derive_seed(tag, seed, chi.render()), ops=ops, largest_only=True
+            )
+            top = max(report.dims)
+            degraded = degraded or report.degraded
+            seen.append(top)
+            if top > best:
+                best, witness = top, chi
+        return best, witness, seen, degraded
+
+    best, witness, seen, degraded = run(prime_field(alg.p), "chi-run")
+    escalated = len(set(seen)) == 1 and best < expected
+    if escalated:
+        ext = galois_field(alg.p, 2, seed=derive_seed("oracle-ext", alg.p, seed))
+        best2, witness2, _, degraded2 = run(ext, "chi-run-ext")
+        degraded = degraded or degraded2
+        if best2 > best:
+            best, witness = best2, witness2
+    return redenv.OracleEstimate(
+        m_est=best,
+        witness=witness.render() if witness is not None else (),
+        samples=samples,
+        seed=seed,
+        escalated_sampling=escalated,
+        degraded=degraded,
+    ).as_dict()
+
+
+DISTINCT_PAIRS = (("nonabelian2", 3), ("heisenberg", 3), ("remark:1:2", 3), ("sl2", 2))
+
+
+def test_oracle_over_distinct_characters_matches_splitting_every_sample(make_algebra, monkeypatch):
+    for name, p in DISTINCT_PAIRS:
+        alg = make_algebra(name, p)
+        for seed in (0, 1):
+            got = max_irreducible_dim(alg, samples=10, seed=seed).as_dict()
+            assert got == _oracle_splitting_every_sample(alg, 10, seed), (name, seed)
+    # an index understated to 0 escalates abelian:2@2 to F_4 characters
+    monkeypatch.setattr(redenv, "index_generic", lambda alg, trials, seed: 0)
+    alg = make_algebra("abelian:2", 2)
+    got = max_irreducible_dim(alg, samples=10, seed=0).as_dict()
+    assert got["escalatedSampling"]
+    assert got == _oracle_splitting_every_sample(alg, 10, 0)
+
+
+def test_oracle_splits_each_distinct_character_once(make_algebra, monkeypatch):
+    sampled, built, splits = [], [], []
+    real_characters, real_reduced, real_split = (
+        redenv._characters, redenv.reduced_algebra, redenv.split_simples
+    )
+
+    def characters(*args):
+        chis = real_characters(*args)
+        sampled.append(chis)
+        return chis
+
+    def reduced(alg, chi, dim_cap=625):
+        built.append(chi)
+        return real_reduced(alg, chi, dim_cap=dim_cap)
+
+    def split(*args, **kwargs):
+        splits.append(1)
+        return real_split(*args, **kwargs)
+
+    monkeypatch.setattr(redenv, "_characters", characters)
+    monkeypatch.setattr(redenv, "reduced_algebra", reduced)
+    monkeypatch.setattr(redenv, "split_simples", split)
+    monkeypatch.setattr(redenv, "index_generic", lambda alg, trials, seed: 0)
+    for name, p in DISTINCT_PAIRS + (("abelian:2", 2),):
+        for log in (sampled, built, splits):
+            log.clear()
+        est = max_irreducible_dim(make_algebra(name, p), samples=10, seed=0)
+        assert len(sampled) == 1 + est.escalated_sampling
+        distinct = [chi for run in sampled for chi in dict.fromkeys(run)]
+        assert built == distinct and len(splits) == len(distinct), name
+    # the last pair escalated, and both of its runs drew a repeat
+    assert est.escalated_sampling
+    assert all(len(set(run)) < len(run) for run in sampled)
