@@ -18,6 +18,9 @@ one absolutely irreducible module of dimension d/s over F_{q^s}
 (Curtis-Reiner, section 29), so the factor is recorded as s such pieces
 without leaving F_q.  Odd s do occur (Artin-Schreier weight
 polynomials), so s is taken from the module, never assumed to be 2.
+When ``MAX_SPLIT_TRIES`` attempts leave a piece within
+``BURNSIDE_DIM_CAP`` undecided, as many more draw r from a basis of the
+whole matrix algebra, the echelon of the Burnside spin.
 
 The splitter does not repeat work.  One ``split_simples`` call uses one
 matrix backend for all its pieces, and ``max_irreducible_dim`` one per
@@ -36,25 +39,39 @@ pivots and queue of one insert per image.  The Burnside count is the
 same spin on d x d matrices flattened row by row, where the images of m
 are the stacked generators times m.
 
-The oracle reads only the largest factor dimension and ``degraded`` of
-each character's regular module, so its splits skip every piece whose
-dimension is at most both the largest factor dimension already found for
-that character and ``BURNSIDE_DIM_CAP``.  This is exact:
+The oracle reads only the largest factor dimension over all its
+characters, the first character reaching it, whether every character
+agrees on it, and ``degraded``.  So its splits start from the running
+maximum: ``split_simples(..., above=a)`` skips every piece whose
+dimension is at most ``BURNSIDE_DIM_CAP`` and at most the larger of a and
+the largest factor dimension already found in this split; a piece
+skipped as soon as a split produces it never has its action matrices
+formed.  This is exact:
 
-- factor dimensions are Jordan-Holder invariants, so a skipped piece
-  holds no factor larger than one already found;
+- factor dimensions are Jordan-Holder invariants, so a factor of
+  dimension t > a lies only in pieces of dimension >= t, and those are
+  never skipped: a split reports its exact top whenever that top is
+  above a, and a value at most a otherwise;
+- the oracle passes a = best, the largest top so far, so M is exact, and
+  so is the witness, which changes only on a strict increase;
+- escalation needs every per-character top to be equal and best below
+  the expected dimension.  While that can still happen the oracle passes
+  a = best - 1 instead, which keeps a top equal to best exact while a
+  smaller one still reads as different; once escalation is ruled out it
+  passes a = best;
+- the F_{p^2} run is used only when it beats the F_p best, so it starts
+  from that best and may skip everything up to it; its witness is the
+  first character to beat it;
 - s is exact below the cap, so a skipped piece could never set
   ``degraded``: only an irreducible piece above the cap whose s the good
-  factors leave open does, and such a piece is always split;
-- the skip is per character, so the per-character tops that decide
-  escalation, the witness and M are those of the full splits.
+  factors leave open does, and such a piece is never skipped.
 
 Pieces after a skipped one draw from a later RNG state, so they may split
 along other submodules, but their factors, and so the largest one, stay
 the same.  The one outcome those draws can move is ``degraded`` for a
 piece above the cap whose s is 1 while all ``ENDO_PROBE_TRIES`` probes
 leave it open, a seeded chance in the full split as well.
-``split_simples`` called directly still splits every piece.
+``split_simples`` called without ``above`` still splits every piece.
 
 The oracle also splits each distinct sampled character once per
 sampling field.  A split depends only on the character: its module is
@@ -279,14 +296,19 @@ def _quotient(ops, mats, state, d):
     ]
 
 
-def _probe(ops, mats, d, rng):
+def _probe(ops, mats, d, rng, basis=None):
     """One random draw: (r, the factors of v's minimal polynomial under r).
 
-    r is a random algebra element and v a random vector.  None when v is
-    zero or its minimal polynomial is constant.  The factoring RNG is
-    drawn from ``rng`` after the Krylov step.
+    r is a random algebra element, from the generators or, when given,
+    a random combination of ``basis``, a basis of the whole matrix
+    algebra as flattened d x d matrices; v is a random vector.  None when
+    v is zero or its minimal polynomial is constant.  The factoring RNG
+    is drawn from ``rng`` after the Krylov step.
     """
-    r = _random_algebra_element(ops, mats, d, rng)
+    if basis is None:
+        r = _random_algebra_element(ops, mats, d, rng)
+    else:
+        r = ops.combination(ops.field.zero, [(ops.random_scalar(rng), ops.reshape(w, d)) for w in basis], d)
     v = ops.random_vector(d, rng)
     if ops.vec_is_zero(v):
         return None
@@ -296,14 +318,14 @@ def _probe(ops, mats, d, rng):
     return r, ops.iter_factors(minpoly, random.Random(rng.randrange(2**62)))
 
 
-def _norton_attempt(ops, mats, d, rng):
-    """One random-element attempt.
+def _norton_attempt(ops, mats, d, rng, basis=None):
+    """One random-element attempt, r drawn as in ``_probe``.
 
     Returns ("split", echelon state of a proper submodule), or
     ("irreducible", degree of the certifying good factor), or None when
     this element was inconclusive.
     """
-    probe = _probe(ops, mats, d, rng)
+    probe = _probe(ops, mats, d, rng, basis)
     if probe is None:
         return None
     r, factors = probe
@@ -373,8 +395,8 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
     return (d * d) // alg_dim
 
 
-def _algebra_dimension(ops, mats, d):
-    """Dimension of the unital matrix algebra generated by ``mats``.
+def _matrix_algebra(ops, mats, d):
+    """Echelon of the unital matrix algebra generated by ``mats``.
 
     The spin of the identity under left multiplication, on d x d
     matrices flattened row by row: the images of m are the stacked
@@ -385,10 +407,42 @@ def _algebra_dimension(ops, mats, d):
     start = ops.reshape(ops.identity(d), width)[0]
     return _closure(
         ops, [start], lambda w: ops.reshape(ops.matmul(stacked, ops.reshape(w, d)), width), width
-    ).dim
+    )
 
 
-def split_simples(module: AlgebraModule, seed: int = 0, ops=None, *, largest_only=False) -> SplitReport:
+def _algebra_dimension(ops, mats, d):
+    """Dimension of the unital matrix algebra generated by ``mats``."""
+    return _matrix_algebra(ops, mats, d).dim
+
+
+def _decide(ops, mats, d, rng):
+    """The first decisive Norton attempt on a piece.
+
+    ``MAX_SPLIT_TRIES`` attempts draw r from the generators.  Where these
+    all fail and the piece is within ``BURNSIDE_DIM_CAP``, as many more
+    draw r from a basis of the whole matrix algebra: the elements built
+    from the generators and one product of two can rarely have a good
+    factor (an F_2-irreducible piece with End = F_4 is such a case).
+    Raises ``SplitBudgetExceeded`` when every attempt is inconclusive.
+    """
+
+    def first(basis):
+        attempts = (_norton_attempt(ops, mats, d, rng, basis) for _ in range(MAX_SPLIT_TRIES))
+        return next(filter(None, attempts), None)
+
+    outcome = first(None)
+    tries = MAX_SPLIT_TRIES
+    if outcome is None and d <= BURNSIDE_DIM_CAP:
+        outcome = first(_matrix_algebra(ops, mats, d).rows)
+        tries *= 2
+    if outcome is None:
+        raise SplitBudgetExceeded(f"no decision for a {d}-dimensional module after {tries} tries")
+    return outcome
+
+
+def split_simples(
+    module: AlgebraModule, seed: int = 0, ops=None, *, above: int | None = None
+) -> SplitReport:
     """Composition factor dimensions over the splitting field of each factor.
 
     Splitting stays on the module's own field F_q.  A factor that is
@@ -403,11 +457,13 @@ def split_simples(module: AlgebraModule, seed: int = 0, ops=None, *, largest_onl
     split lives on that field, so one backend, with its factor memo,
     serves the whole call.  Built here when not given.
 
-    ``largest_only`` is the oracle's split: a piece is skipped when its
-    dimension is at most both the largest factor dimension found so far
-    and ``BURNSIDE_DIM_CAP``.  The report then lists only the factors
-    found, but its largest dimension and ``degraded`` are those of the
-    full split (see the module docstring).
+    With ``above`` (the oracle's split), a piece is skipped when its
+    dimension is at most both ``BURNSIDE_DIM_CAP`` and the larger of
+    ``above`` and the largest factor dimension found so far.  The report
+    then lists only the factors found.  Its largest dimension is that of
+    the full split when that is above ``above``, and at most ``above``
+    otherwise; ``degraded`` is that of the full split (see the module
+    docstring).  ``above=None`` splits every piece.
     """
     if ops is None:
         ops = ops_for(module.field)
@@ -418,39 +474,36 @@ def split_simples(module: AlgebraModule, seed: int = 0, ops=None, *, largest_onl
     factors = []
     degraded = False
     top = 0
+
+    def skipped(d):
+        return d == 0 or (above is not None and d <= min(max(above, top), BURNSIDE_DIM_CAP))
+
     stack = [module]
     while stack:
         mod = stack.pop()
         d = mod.dimension
-        if d == 0 or (largest_only and d <= min(top, BURNSIDE_DIM_CAP)):
+        if skipped(d):
             continue
         if d == 1:
             dims.append(1)
             factors.append((1, mod.field.order))
             top = max(top, 1)
             continue
-        outcome = None
-        for _ in range(MAX_SPLIT_TRIES):
-            outcome = _norton_attempt(ops, mod.mats, d, rng)
-            if outcome is not None:
-                break
-        if outcome is None:
-            raise SplitBudgetExceeded(
-                f"no decision for a {d}-dimensional module after {MAX_SPLIT_TRIES} tries"
-            )
-        kind, payload = outcome
+        kind, payload = _decide(ops, mod.mats, d, rng)
         if kind == "split":
             state = payload
-            sub = AlgebraModule(
-                dimension=state.dim, field=mod.field, mats=_restrict(ops, mod.mats, state)
-            )
-            quo = AlgebraModule(
-                dimension=d - state.dim,
-                field=mod.field,
-                mats=_quotient(ops, mod.mats, state, d),
-            )
-            stack.append(sub)
-            stack.append(quo)
+            # top only grows and a skip draws no RNG, so a piece skipped
+            # already would be skipped when popped: it is never formed
+            if not skipped(state.dim):
+                stack.append(
+                    AlgebraModule(dimension=state.dim, field=mod.field, mats=_restrict(ops, mod.mats, state))
+                )
+            if not skipped(d - state.dim):
+                stack.append(
+                    AlgebraModule(
+                        dimension=d - state.dim, field=mod.field, mats=_quotient(ops, mod.mats, state, d)
+                    )
+                )
             continue
         # certified irreducible over mod.field; decide absolute irreducibility
         s = _endomorphism_degree(ops, mod.mats, d, rng, payload)
@@ -523,6 +576,15 @@ def max_irreducible_dim(
     occurrences keep their order, so the witness (the first character
     reaching the maximum) is the same, and a repeat changes neither the
     set of values that decides escalation nor ``degraded``.
+
+    Each split skips the pieces that cannot raise the running maximum
+    ``best`` (see the module docstring): it is given ``above=best``, so a
+    top above ``best`` is exact and M and its witness are too.  While
+    every top so far is equal and below the expected dimension, the split
+    is given ``above=best - 1``, so a top equal to ``best`` still reads
+    exactly and a smaller one reads as different: the escalation decision
+    is that of the full splits.  The F_{p^2} run starts from the F_p
+    best, since only a character beating it is used.
     """
     if alg.p**alg.n > dim_cap:
         raise DimensionCap(alg.p**alg.n, dim_cap)
@@ -530,36 +592,41 @@ def max_irreducible_dim(
     ind = index_generic(alg, trials=3, seed=seed)
     expected = alg.p ** ((alg.n - ind) // 2)
 
-    def run(field, tag):
+    def run(field, tag, best, may_escalate):
         ops = ops_for(field)
-        best = 0
         witness = None
-        seen = []
+        tops = set()
         degraded = False
         # a repeat would split the same module with the same seed again
         for chi in dict.fromkeys(_characters(alg, field, samples, rng)):
             u = reduced_algebra(alg, chi, dim_cap=dim_cap)
             module = regular_representation(u)
+            # while escalation is open, a top equal to best must read exactly
+            escalation_open = may_escalate and len(tops) <= 1 and best < expected
             report = split_simples(
-                module, seed=derive_seed(tag, seed, chi.render()), ops=ops, largest_only=True
+                module,
+                seed=derive_seed(tag, seed, chi.render()),
+                ops=ops,
+                above=best - 1 if escalation_open else best,
             )
-            top = max(report.dims)
+            top = max(report.dims, default=0)
             degraded = degraded or report.degraded
-            seen.append(top)
+            tops.add(top)
             if top > best:
                 best = top
                 witness = chi
-        return best, witness, seen, degraded
+        return best, witness, tops, degraded
 
     fp = prime_field(alg.p)
-    best, witness, seen, degraded = run(fp, "chi-run")
+    best, witness, tops, degraded = run(fp, "chi-run", 0, True)
     escalated = False
-    if len(set(seen)) == 1 and best < expected:
+    if len(tops) == 1 and best < expected:
         escalated = True
         ext = galois_field(alg.p, 2, seed=derive_seed("oracle-ext", alg.p, seed))
-        best2, witness2, _, degraded2 = run(ext, "chi-run-ext")
+        # only a character beating the F_p best is used, so start from it
+        best2, witness2, _, degraded2 = run(ext, "chi-run-ext", best, False)
         degraded = degraded or degraded2
-        if best2 > best:
+        if witness2 is not None:
             best, witness = best2, witness2
     return OracleEstimate(
         m_est=best,

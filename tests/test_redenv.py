@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -262,6 +263,20 @@ def test_burnside_divisibility_self_check(make_algebra, monkeypatch):
     with pytest.raises(SelfCheckFailure, match="Burnside"):
         split_simples(module)
     assert main(["oracle", "--example", "nonabelian2", "--prime", "3"]) == 3
+
+
+def test_undecided_piece_draws_from_its_whole_matrix_algebra(make_algebra, capsys):
+    # at chi = (1, 0, 0, 0) the 4-dimensional pieces of gl2@2 are
+    # irreducible over F_2 with End = F_4; elements built from the
+    # generators rarely certify one, and seeds 1, 4 and 5 ran out of them
+    alg = make_algebra("gl2", 2)
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 0, 0, 0)))
+    for seed in range(6):
+        report = split_simples(module, seed=seed)
+        assert report.dims == (2,) * 8 and set(report.factors) == {(2, 4)}, seed
+    capsys.readouterr()
+    assert main(["oracle", "--example", "gl2", "--prime", "2", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["M"] == 2
 
 
 def test_split_dims_sum_invariant(make_algebra):
@@ -637,15 +652,22 @@ PRUNING_PAIRS = (
 
 
 def test_pruned_split_keeps_the_top_and_degraded_of_the_full_split(make_algebra, monkeypatch):
-    # every character the oracle samples is split both ways
+    # every character the oracle samples is split both ways: the pruned
+    # top is exact when the full one is above ``above``, and at most
+    # ``above`` otherwise
     compared = []
     real = redenv.split_simples
 
-    def both(module, seed=0, ops=None, *, largest_only=False):
-        assert largest_only
-        pruned = real(module, seed=seed, ops=ops, largest_only=True)
+    def both(module, seed=0, ops=None, *, above=None):
+        assert above is not None
+        pruned = real(module, seed=seed, ops=ops, above=above)
         full = real(module, seed=seed, ops=ops)
-        assert (max(pruned.dims), pruned.degraded) == (max(full.dims), full.degraded)
+        top = max(pruned.dims, default=0)
+        if max(full.dims) > above:
+            assert top == max(full.dims)
+        else:
+            assert top <= above
+        assert pruned.degraded == full.degraded
         compared.append(len(full.dims) - len(pruned.dims))
         return pruned
 
@@ -664,14 +686,22 @@ def test_pruned_split_keeps_the_top_and_degraded_of_the_full_split(make_algebra,
 def test_pruning_still_splits_pieces_above_the_burnside_cap(make_algebra, monkeypatch):
     # with the cap at 2, each 3-dimensional factor of remark:1:2 at
     # chi = (0, 0, 1) is above it, and one leaves s open (degraded); every
-    # one of them is at most the largest factor found, yet must be split
+    # one of them is at most ``above`` and the largest factor found, yet
+    # must be split
     monkeypatch.setattr(redenv, "BURNSIDE_DIM_CAP", 2)
     alg = make_algebra("remark:1:2", 3)
     module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 1)))
     full = split_simples(module, seed=0)
-    pruned = split_simples(module, seed=0, largest_only=True)
+    pruned = split_simples(module, seed=0, above=3)
     assert full.degraded and full.dims == (3,) * 9
     assert pruned == full
+
+
+def test_split_above_the_module_dimension_reports_no_factors(make_algebra):
+    alg = make_algebra("nonabelian2", 3)
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 1)))
+    report = split_simples(module, seed=0, above=module.dimension)
+    assert report == redenv.SplitReport(dims=(), factors=(), degraded=False)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +709,7 @@ def test_pruning_still_splits_pieces_above_the_burnside_cap(make_algebra, monkey
 # ---------------------------------------------------------------------------
 
 def _oracle_splitting_every_sample(alg, samples, seed):
-    """Reference: ``max_irreducible_dim`` splitting every sample, repeats too."""
+    """Reference: ``max_irreducible_dim`` splitting every piece of every sample."""
     rng = random.Random(derive_seed("oracle", alg.signature(), seed))
     ind = redenv.index_generic(alg, trials=3, seed=seed)
     expected = alg.p ** ((alg.n - ind) // 2)
@@ -689,9 +719,7 @@ def _oracle_splitting_every_sample(alg, samples, seed):
         best, witness, seen, degraded = 0, None, [], False
         for chi in redenv._characters(alg, field, samples, rng):
             module = regular_representation(reduced_algebra(alg, chi))
-            report = split_simples(
-                module, seed=derive_seed(tag, seed, chi.render()), ops=ops, largest_only=True
-            )
+            report = split_simples(module, seed=derive_seed(tag, seed, chi.render()), ops=ops)
             top = max(report.dims)
             degraded = degraded or report.degraded
             seen.append(top)
@@ -731,6 +759,20 @@ def test_oracle_over_distinct_characters_matches_splitting_every_sample(make_alg
     alg = make_algebra("abelian:2", 2)
     got = max_irreducible_dim(alg, samples=10, seed=0).as_dict()
     assert got["escalatedSampling"]
+    assert got == _oracle_splitting_every_sample(alg, 10, 0)
+    # an escalation from an F_p best of 2: heisenberg@2 at its characters
+    # with chi(z) != 0, where every top is 2, and an index understated to
+    # n - 4 (expected dimension 4).  The F_4 run starts from that best, so
+    # the witness stays an F_2 character; dropping the unit characters
+    # keeps the two runs' characters apart
+    real_characters = redenv._characters
+    monkeypatch.setattr(
+        redenv, "_characters", lambda *args: [c for c in real_characters(*args) if c.chi[2] and any(c.chi[:2])]
+    )
+    monkeypatch.setattr(redenv, "index_generic", lambda alg, trials, seed: alg.n - 4)
+    alg = make_algebra("heisenberg", 2)
+    got = max_irreducible_dim(alg, samples=10, seed=0).as_dict()
+    assert got["escalatedSampling"] and got["M"] == 2
     assert got == _oracle_splitting_every_sample(alg, 10, 0)
 
 
