@@ -14,7 +14,6 @@ from kw1 import (
     get_example,
     kw1_verdict,
     p_center_generators,
-    rank_over_p_center,
     ue_monomial,
     with_p_map,
     zp_coordinates,
@@ -42,7 +41,7 @@ print("== the center in degree <= 2p - 2 = 4 ==")
 cb = center_basis_bounded(alg, 4, seed=0)
 for el in cb.elements:
     print("  ", el.render())
-print("rank over the p-center:", rank_over_p_center(cb, alg, 0))
+print("rank over the p-center:", cb.rank)
 
 xy2 = ue_monomial(alg, (0, 1, 2))
 print()

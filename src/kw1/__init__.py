@@ -40,7 +40,6 @@ from .center import (
     kw1_verdict,
     p_center_generators,
     rank_over_frobenius_subring,
-    rank_over_p_center,
     zp_coordinates,
 )
 from .redenv import (
@@ -84,7 +83,6 @@ __all__ = [
     "kw1_verdict",
     "p_center_generators",
     "rank_over_frobenius_subring",
-    "rank_over_p_center",
     "zp_coordinates",
     "Character",
     "max_irreducible_dim",

@@ -12,7 +12,16 @@ The coordinate terms are gathered once per rank into index arrays (row,
 column, xi-monomial, coefficient); at each point every distinct
 xi-monomial is evaluated once, as an F_p coefficient vector, and the
 terms are scatter-added into a (rows, cols, e) array that is ranked by
-the blocked F_p kernel of ``linalg``.
+the blocked F_p kernel of ``linalg``.  One routine does this for every
+rank (``_specialized_rank``).
+
+``rank_over_frobenius_subring`` (``kw1 lemma1``) is the commutative
+model: the rank of A = F_p[x_1..x_n] over B . A^p.  Its generating set
+is exact: for g in A, g^p = g(x^p) lies in A^p, so B . A^p is spanned
+over A^p by the products prod_j g_j^{k_j} with 0 <= k_j < p, which are
+ranked once, with no closure to stabilize.  The verdict still closes the
+center under products for at most ``PRODUCT_ROUNDS`` rounds: a central z
+need not have z^p in the p-center, so no such finite set is known there.
 
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
@@ -41,7 +50,7 @@ refuse before allocating, with ``DegreeBoundTooLargeForMemory``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +59,6 @@ from .errors import (
     CentralityFailure,
     DegreeBoundTooLargeForMemory,
     SelfCheckFailure,
-    StabilizationNotReached,
     WeightMismatch,
     ZeroElement,
 )
@@ -216,7 +224,6 @@ class CenterBasis:
     stabilized: bool
     rank: int
     spec_field: GF
-    _rank_cache: dict = dfield(default_factory=dict, repr=False, compare=False)
 
 
 def _check_matrix_budget(n: int, count: int):
@@ -339,26 +346,18 @@ def center_basis_bounded(
     prev_elements = [el for el in elements if el.degree <= bound - 1]
     r_here, field = _rank_of_elements(alg, elements, seed, min_extension)
     r_prev = _rank_of_elements(alg, prev_elements, seed)[0]
-    cb = CenterBasis(
+    return CenterBasis(
         degree_bound=bound,
         elements=tuple(elements),
         stabilized=(r_here == r_prev),
         rank=r_here,
         spec_field=field,
     )
-    cb._rank_cache[seed] = r_here
-    return cb
 
 
 # ---------------------------------------------------------------------------
 # ranks over the p-center
 # ---------------------------------------------------------------------------
-
-def _specialization_field(alg, deg_bound, seed, min_ext=1):
-    e = max(sz_extension_degree(alg.p, alg.n, deg_bound), min_ext)
-    field = galois_field(alg.p, e, seed=derive_seed("spec-field", alg.p, e, seed))
-    return field
-
 
 class _CoordinateTerms:
     """Every term of a list of coordinate maps, gathered once into index arrays.
@@ -445,17 +444,27 @@ def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     return out
 
 
-def _rows_rank(alg, vectors, seed, min_ext=1):
-    """Max specialized rank of zp coordinate rows over three random points."""
-    live = [v.coordinates for v in vectors if v.coordinates]
+def _specialized_rank(maps, p, n, field_tag, seed, point_seed, min_ext=1):
+    """Max specialized rank of coordinate rows over up to RANK_TRIALS random points.
+
+    Row r is the coordinate map ``maps[r]`` (reduced monomial -> polynomial
+    in n variables); empty maps are dropped.  The field is F_{p^e}, e the
+    smallest with p^e >= 4 n^2 d for d the largest total degree of a
+    coordinate (at least ``min_ext``), its modulus drawn from
+    ``derive_seed(field_tag, p, e, seed)``; the points come from
+    ``random.Random(point_seed)``, and the trials stop at full rank.
+    Returns (rank, field), or (0, F_p) without a nonzero row.
+    """
+    live = [m for m in maps if m]
     if not live:
-        return 0, prime_field(alg.p)
-    terms = _CoordinateTerms(live, alg.n)
-    field = _specialization_field(alg, terms.max_degree, seed, min_ext)
-    rng = random.Random(derive_seed("specialize", alg.signature(), seed))
+        return 0, prime_field(p)
+    terms = _CoordinateTerms(live, n)
+    e = max(sz_extension_degree(p, n, terms.max_degree), min_ext)
+    field = galois_field(p, e, seed=derive_seed(field_tag, p, e, seed))
+    rng = random.Random(point_seed)
     best = 0
     for _ in range(RANK_TRIALS):
-        point = [field.random_nonzero(rng) for _ in range(alg.n)]
+        point = [field.random_nonzero(rng) for _ in range(n)]
         best = max(best, terms.rank(point, field))
         if best == min(terms.shape):
             break
@@ -493,34 +502,23 @@ def _rank_of_elements(alg, elements, seed, min_ext=1):
     one = ue_one(alg)
     pool = [one] + [el for el in elements if not el.is_zero()]
     seen = {frozenset(el.terms.items()) for el in pool}
-    vectors = [zp_coordinates(el, alg) for el in pool]
-    r, field = _rows_rank(alg, vectors, seed, min_ext)
+    maps = [zp_coordinates(el, alg).coordinates for el in pool]
+    point_seed = derive_seed("specialize", alg.signature(), seed)
+    spec = (alg.p, alg.n, "spec-field", seed, point_seed, min_ext)
+    r, field = _specialized_rank(maps, *spec)
     gens = pool[1:]
     frontier = gens
     for rnd in range(PRODUCT_ROUNDS):
         new_items = _new_products(frontier, gens, seen, commuting_square=(rnd == 0))
         if not new_items:
             break
-        vectors.extend(zp_coordinates(el, alg) for el in new_items)
-        r2, field = _rows_rank(alg, vectors, seed, min_ext)
+        maps.extend(zp_coordinates(el, alg).coordinates for el in new_items)
+        r2, field = _specialized_rank(maps, *spec)
         frontier = new_items
         if r2 == r:
             break
         r = r2
     return r, field
-
-
-def rank_over_p_center(cb: CenterBasis, alg: ModularLieAlgebra, seed: int = 0) -> int:
-    """Witnessed rank of the center over the p-center in degree <= D.
-
-    A lower bound for the true fraction-field degree; exact with
-    Schwartz-Zippel confidence once the degree bound has stabilized.
-    """
-    if seed in cb._rank_cache:
-        return cb._rank_cache[seed]
-    r = _rank_of_elements(alg, list(cb.elements), seed)[0]
-    cb._rank_cache[seed] = r
-    return r
 
 
 def zp_subalgebra_contains(a: UEElement, alg: ModularLieAlgebra) -> bool:
@@ -571,17 +569,18 @@ def fraction_field_degree(
             raise CentralityFailure(-1, -1)
     j_blocks = -(-power_bound // p)  # ceil
     exponent = p * j_blocks
-    vectors = []
+    point_seed = derive_seed("specialize", alg.signature(), seed)
+    maps = []
     psi_pow = [ue_one(alg)]
     for _ in range(exponent):
         psi_pow.append(psi_pow[-1] * psi)
     phi_pow = ue_one(alg)
     for d in range(power_bound + 1):
         v = phi_pow * psi_pow[exponent - d]
-        vectors.append(zp_coordinates(v, alg))
+        maps.append(zp_coordinates(v, alg).coordinates)
         if d >= 1:
-            r, _ = _rows_rank(alg, vectors, seed)
-            if r < len(vectors):
+            r, _ = _specialized_rank(maps, p, alg.n, "spec-field", seed, point_seed)
+            if r < len(maps):
                 return d
         phi_pow = phi_pow * phi
     return power_bound + 1
@@ -613,75 +612,40 @@ def _frobenius_coordinates(f: SymPoly, p: int):
     return out
 
 
-def rank_over_frobenius_subring(
-    num_vars: int,
-    b_generators,
-    p: int,
-    stabilization_bound: int = 4,
-    seed: int = 0,
-) -> int:
+def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int = 0) -> int:
     """Rank of the polynomial ring A over B . A^p, by specialization.
 
     ``b_generators`` are polynomials generating B inside
-    A = F_p[x_1..x_n].  The rank of the A^p-subalgebra generated by B
-    is computed in the free A^p-module basis of reduced monomials by
-    the same specialize-and-rank routine used for enveloping algebras;
-    the answer is p^n divided by that rank.
+    A = F_p[x_1..x_n].  The products prod_j g_j^{k_j}, 0 <= k_j < p, span
+    B . A^p over A^p (module docstring); they are formed from one table
+    of powers per generator, without duplicates, and their coordinates
+    in the free A^p-module basis of reduced monomials are ranked once.
+    The answer is p^n divided by that rank r.  Frac(A) is purely
+    inseparable over Frac(B . A^p), so r is a power of p; a rank not
+    dividing p^n raises ``SelfCheckFailure``.
     """
     linalg.require_exact_prime(p)
     field = prime_field(p)
-    gens = []
-    for g in b_generators:
-        if isinstance(g, SymPoly):
-            gens.append(g)
-        else:
-            gens.append(SymPoly(field, num_vars, g))
     one = SymPoly.one(field, num_vars)
-    pool = [one] + [g for g in gens if not g.is_zero()]
-    seen = {frozenset(g.terms.items()) for g in pool}
-
-    def rows_rank(items, rnd_seed):
-        terms = _CoordinateTerms([_frobenius_coordinates(f, p) for f in items], num_vars)
-        if not terms.columns:
-            return 0
-        e = sz_extension_degree(p, num_vars, max(1, terms.max_degree))
-        ext = galois_field(p, e, seed=derive_seed("frob-field", p, e, rnd_seed))
-        rng = random.Random(derive_seed("frob-points", p, num_vars, rnd_seed))
-        best = 0
-        for _ in range(RANK_TRIALS):
-            point = [ext.random_nonzero(rng) for _ in range(num_vars)]
-            best = max(best, terms.rank(point, ext))
-        return best
-
-    r = rows_rank(pool, seed)
-    frontier = pool[1:]
-    stabilized = not frontier
-    for _ in range(stabilization_bound):
-        new_items = []
-        for a in frontier:
-            for b in pool[1:]:
-                prod = a * b
-                key = frozenset(prod.terms.items())
-                if key in seen or prod.is_zero():
-                    continue
-                seen.add(key)
-                new_items.append(prod)
-        if not new_items:
-            stabilized = True
-            break
-        candidates = pool + new_items
-        r2 = rows_rank(candidates, seed)
-        pool = candidates
-        frontier = new_items
-        if r2 == r:
-            stabilized = True
-            break
-        r = r2
-    if not stabilized:
-        raise StabilizationNotReached(stabilization_bound)
+    products = {frozenset(one.terms.items()): one}
+    for g in b_generators:
+        g = g if isinstance(g, SymPoly) else SymPoly(field, num_vars, g)
+        if g.is_zero():
+            continue
+        powers = [one]
+        for _ in range(p - 1):
+            powers.append(powers[-1] * g)
+        products = {
+            frozenset(c.terms.items()): c
+            for c in (a * b for a in products.values() for b in powers)
+        }
+    r, _ = _specialized_rank(
+        [_frobenius_coordinates(f, p) for f in products.values()], p, num_vars,
+        "frob-field", seed, derive_seed("frob-points", p, num_vars, seed),
+    )
     total = p**num_vars
     if total % r != 0:
-        raise StabilizationNotReached(stabilization_bound)
+        raise SelfCheckFailure(f"rank {r} over B . A^p does not divide p^n = {total}")
     return total // r
 
 

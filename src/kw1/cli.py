@@ -22,7 +22,6 @@ from .center import (
     center_basis_bounded,
     kw1_verdict,
     rank_over_frobenius_subring,
-    rank_over_p_center,
 )
 from .errors import (
     DegreeBoundTooLargeForMemory,
@@ -80,9 +79,8 @@ class RunConfig:
             raise ParseError(f"unknown format {self.output_format!r}")
 
 
-def _prepare(presentation, p, ext):
-    alg = base_change_mod_p(presentation, p, e=ext or 1)
-    return with_p_map(alg, override=presentation.pmap_override)
+def _prepare(presentation, p):
+    return with_p_map(base_change_mod_p(presentation, p), override=presentation.pmap_override)
 
 
 def _memo_path(alg):
@@ -102,7 +100,7 @@ def run(config: RunConfig, presentation):
     """
     reports = []
     for p in config.primes:
-        alg = _prepare(presentation, p, config.ext)
+        alg = _prepare(presentation, p)
         memo_path = _memo_path(alg)
         if memo_path and os.path.exists(memo_path):
             load_memo(alg, memo_path)
@@ -300,7 +298,7 @@ def _dispatch(args) -> int:
             ind = index_generic(presentation, trials=args.samples, seed=args.seed)
             where = "QQ"
         else:
-            alg = _prepare(presentation, args.prime, None)
+            alg = _prepare(presentation, args.prime)
             ind = index_generic(alg, trials=args.samples, seed=args.seed)
             where = f"F_{args.prime}"
         _emit(
@@ -319,7 +317,7 @@ def _dispatch(args) -> int:
 
     if args.command == "pmap":
         presentation = _load_presentation(args)
-        alg = _prepare(presentation, args.prime, None)
+        alg = _prepare(presentation, args.prime)
         table = {}
         for i, lbl in enumerate(alg.labels):
             row = alg.restricted.vector(i)
@@ -336,7 +334,7 @@ def _dispatch(args) -> int:
 
     if args.command == "center":
         presentation = _load_presentation(args)
-        alg = _prepare(presentation, args.prime, None)
+        alg = _prepare(presentation, args.prime)
         bound = args.degree_bound
         if bound is None:
             from .center import default_degree_bound
@@ -353,14 +351,13 @@ def _dispatch(args) -> int:
 
     if args.command == "rank":
         presentation = _load_presentation(args)
-        alg = _prepare(presentation, args.prime, None)
+        alg = _prepare(presentation, args.prime)
         bound = args.degree_bound
         if bound is None:
             from .center import default_degree_bound
 
             bound = default_degree_bound(alg)
         cb = center_basis_bounded(alg, bound, seed=args.seed)
-        r = rank_over_p_center(cb, alg, seed=args.seed)
         _emit(
             _json_line(
                 {
@@ -368,7 +365,7 @@ def _dispatch(args) -> int:
                     "p": alg.p,
                     "degreeBound": bound,
                     "centerDimension": len(cb.elements),
-                    "rankZoverZp": r,
+                    "rankZoverZp": cb.rank,
                     "stabilized": cb.stabilized,
                     "seed": args.seed,
                 }
@@ -379,7 +376,7 @@ def _dispatch(args) -> int:
 
     if args.command == "oracle":
         presentation = _load_presentation(args)
-        alg = _prepare(presentation, args.prime, None)
+        alg = _prepare(presentation, args.prime)
         est = max_irreducible_dim(alg, samples=args.samples, seed=args.seed)
         _emit(
             _json_line({"algebra": alg.name, "p": alg.p, **est.as_dict()}), args.out

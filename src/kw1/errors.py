@@ -83,14 +83,6 @@ class PrimeOutsideInt64Range(KW1Error):
         )
 
 
-class StabilizationNotReached(KW1Error):
-    """Product closure did not stabilize within the allowed rounds."""
-
-    def __init__(self, bound):
-        self.bound = bound
-        super().__init__(f"rank did not stabilize within {bound} rounds")
-
-
 class DimensionCap(KW1Error):
     """p^n exceeds the configured dimension cap for reduced algebras."""
 

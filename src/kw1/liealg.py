@@ -4,10 +4,11 @@ A presentation is a basis together with sparse antisymmetric structure
 constants over exact rationals; only brackets [x_i, x_j] with i < j are
 stored.  Reduction mod p produces a modular algebra over F_p, on which
 a restricted p-power map is computed by solving ad(y) = (ad x_i)^p for
-each basis element.  The index is estimated by randomized evaluation of
-the alternating matrix chi([x_i, x_j]) and is exact with Schwartz-Zippel
-confidence (it is always an upper bound witness: dim minus an attained
-rank).
+each basis element; the ad matrices are int64 arrays mod p, multiplied
+by ``linalg.matmul_modp``, exact across the int64 envelope.  The index
+is estimated by randomized evaluation of the alternating matrix
+chi([x_i, x_j]) and is exact with Schwartz-Zippel confidence (it is
+always an upper bound witness: dim minus an attained rank).
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import linalg
 from .errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
@@ -96,16 +99,13 @@ class ModularLieAlgebra:
 
     Structure constants always live in the prime field, as int residues
     in [1, p) (ints, Fractions and prime-field elements are accepted and
-    reduced); extensions F_{p^e} only enter through evaluation points,
-    so ``e`` records the declared ambient extension degree without
-    changing the constants.
+    reduced); extensions F_{p^e} only enter through evaluation points.
     """
 
-    def __init__(self, name, labels, p, constants, e=1, restricted=None):
+    def __init__(self, name, labels, p, constants, restricted=None):
         self.name = name
         self.labels = tuple(labels)
         self.p = p
-        self.e = e
         self.field = prime_field(p)
         scalar = self.field.scalar
         self.constants = _normalize_constants(
@@ -178,7 +178,7 @@ def validate_presentation(ctx):
 # base change and restricted structure
 # ---------------------------------------------------------------------------
 
-def base_change_mod_p(pres: LieAlgebraPresentation, p: int, e: int = 1) -> ModularLieAlgebra:
+def base_change_mod_p(pres: LieAlgebraPresentation, p: int) -> ModularLieAlgebra:
     """Reduce all structure constants into F_p; Jacobi is re-validated.
 
     Raises DenominatorDivisibleByP when some constant has denominator
@@ -187,86 +187,45 @@ def base_change_mod_p(pres: LieAlgebraPresentation, p: int, e: int = 1) -> Modul
     (``linalg.require_exact_prime``).
     """
     linalg.require_exact_prime(p)
-    alg = ModularLieAlgebra(pres.name, pres.labels, p, pres.constants, e=e)
+    alg = ModularLieAlgebra(pres.name, pres.labels, p, pres.constants)
     bad = validate_presentation(alg)
     if bad:
         raise SelfCheckFailure(f"Jacobi broke after reduction mod {p}: {bad[:3]}")
     return alg
 
 
-def ad_matrix(ctx, i):
-    """Rows of the n x n matrix of ad(x_i): entry [l][j] = coeff of x_l in [x_i, x_j]."""
-    n = ctx.n
-    rows = [[ctx.field.scalar(0)] * n for _ in range(n)]
-    for j in range(n):
-        for l, c in ctx.bracket(i, j).items():
-            rows[l][j] = c
-    return rows
-
-
-def _reduce_rows(rows, p):
-    return [[x % p for x in row] for row in rows]
-
-
-def ad_matrix_of_vector(alg, coeffs):
-    """ad of sum_k coeffs_k x_k, for int residue coefficients."""
+def ad_matrices(alg: ModularLieAlgebra) -> np.ndarray:
+    """int64 (n, n, n): [i, l, j] = coeff of x_l in [x_i, x_j], so [i] is ad(x_i)."""
     n = alg.n
-    rows = [[0] * n for _ in range(n)]
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        for j in range(n):
-            for l, d in alg.bracket(k, j).items():
-                rows[l][j] = rows[l][j] + c * d
-    return _reduce_rows(rows, alg.p)
-
-
-def _mat_mul(a, b, p):
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    out = [[0] * m for _ in range(n)]
+    out = np.zeros((n, n, n), dtype=np.int64)
     for i in range(n):
-        ai = a[i]
-        for k in range(inner):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                row = out[i]
-                for j in range(m):
-                    if bk[j]:
-                        row[j] = row[j] + c * bk[j]
-    return _reduce_rows(out, p)
+        for j in range(n):
+            for l, c in alg.bracket(i, j).items():
+                out[i, l, j] = c
+    return out
 
 
-def _mat_pow(a, k, p):
-    n = len(a)
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    base = a
+def _pth_power(m: np.ndarray, p: int) -> np.ndarray:
+    """m^p mod p by repeated squaring with ``linalg.matmul_modp``."""
+    out, k = np.eye(len(m), dtype=np.int64), p
     while k:
         if k & 1:
-            result = _mat_mul(result, base, p)
-        base = _mat_mul(base, base, p)
+            out = linalg.matmul_modp(out, m, p)
         k >>= 1
-    return result
+        if k:
+            m = linalg.matmul_modp(m, m, p)
+    return out
 
 
-def _solve_inner_derivation(alg: ModularLieAlgebra, target):
+def _solve_inner_derivation(alg: ModularLieAlgebra, ads: np.ndarray, target: np.ndarray):
     """Solve sum_k y_k ad(x_k) = target for y, canonical representative.
 
     The solution is a coset of the center; row reduction with free
     variables pinned to zero picks the minimal-support representative,
     which makes the p-map deterministic.  Returns None if not inner.
     """
-    n = alg.n
-    ads = [ad_matrix(alg, k) for k in range(n)]
-    rows = []
-    rhs = []
-    for a in range(n):
-        for b in range(n):
-            rows.append([ads[k][a][b] for k in range(n)])
-            rhs.append(target[a][b])
-    return linalg.solve(rows, rhs, alg.field)
+    rows = ads.reshape(alg.n, alg.n * alg.n).T.tolist()
+    return linalg.solve(rows, target.reshape(-1).tolist(), alg.field)
 
 
 def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
@@ -277,10 +236,10 @@ def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
     repeated runs agree.  Raises NotRestrictable when some (ad x_i)^p is
     not an inner derivation.
     """
+    ads = ad_matrices(alg)
     rows = []
     for i in range(alg.n):
-        target = _mat_pow(ad_matrix(alg, i), alg.p, alg.p)
-        y = _solve_inner_derivation(alg, target)
+        y = _solve_inner_derivation(alg, ads, _pth_power(ads[i], alg.p))
         if y is None:
             raise NotRestrictable(i, alg.labels[i])
         rows.append(tuple(y))
@@ -301,11 +260,12 @@ def p_map_override_to_structure(alg: ModularLieAlgebra, override) -> RestrictedS
 
 def verify_restricted(alg: ModularLieAlgebra, rs: RestrictedStructure) -> bool:
     """Exact check of ad(x_i^[p]) == (ad x_i)^p for every i."""
-    for i in range(alg.n):
-        lhs = ad_matrix_of_vector(alg, rs.vector(i))
-        if lhs != _mat_pow(ad_matrix(alg, i), alg.p, alg.p):
-            return False
-    return True
+    n, p = alg.n, alg.p
+    ads = ad_matrices(alg)
+    # row i: ad(x_i^[p]) = sum_k rs[i][k] ad(x_k), flattened
+    coeffs = np.array(rs.rows, dtype=np.int64).reshape(n, n)
+    images = linalg.matmul_modp(coeffs, ads.reshape(n, n * n), p)
+    return all(np.array_equal(images[i], _pth_power(ads[i], p).reshape(-1)) for i in range(n))
 
 
 def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:
@@ -318,9 +278,7 @@ def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:
         rs = compute_p_map(alg)
         if not verify_restricted(alg, rs):
             raise SelfCheckFailure("computed p-map fails ad(x^[p]) = (ad x)^p")
-    return ModularLieAlgebra(
-        alg.name, alg.labels, alg.p, alg.constants, e=alg.e, restricted=rs
-    )
+    return ModularLieAlgebra(alg.name, alg.labels, alg.p, alg.constants, restricted=rs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ from kw1.registry import get_example
 def make_algebra():
     """Builtin presentation reduced mod p with its p-map attached."""
 
-    def build(name, p, ext=None):
-        return _prepare(get_example(name), p, ext)
+    def build(name, p):
+        return _prepare(get_example(name), p)
 
     return build
 

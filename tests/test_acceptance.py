@@ -27,7 +27,6 @@ from kw1.center import (
     kw1_verdict,
     p_center_generators,
     rank_over_frobenius_subring,
-    rank_over_p_center,
     zp_subalgebra_contains,
 )
 from kw1.cli import RunConfig, _prepare, run
@@ -77,7 +76,7 @@ def test_c1_remark_center_golden_regression():
         for p in PRIMES_C1:
             if (n * m) % p == 0:
                 continue
-            alg = _prepare(get_example(f"remark:{n}:{m}"), p, None)
+            alg = _prepare(get_example(f"remark:{n}:{m}"), p)
             bound = 2 * p - 2
             cb = center_basis_bounded(alg, bound, seed=0)
             xi = p_center_generators(alg).xi
@@ -118,7 +117,7 @@ def test_c2_kw1_verdicts():
     started = time.monotonic()
     for name in SUITE_C2:
         for p in PRIMES_C2:
-            alg = _prepare(get_example(name), p, None)
+            alg = _prepare(get_example(name), p)
             rep = kw1_verdict(alg, seed=0)
             assert rep.verdict == "verified", (name, p)
             assert rep.rank_z_over_zp == p**rep.ind, (name, p)
@@ -133,11 +132,11 @@ def test_c3_oracle_agreement():
     started = time.monotonic()
     for name in SUITE_C2:
         for p in PRIMES_C2:
-            alg = _prepare(get_example(name), p, None)
+            alg = _prepare(get_example(name), p)
             m_lower = p ** ((alg.n - kw1_verdict(alg, seed=0).ind) // 2)
             est = max_irreducible_dim(alg, samples=10, seed=0)
             assert est.m_est == m_lower, (name, p, est.m_est, m_lower)
-    gl2 = _prepare(get_example("gl2"), 3, None)
+    gl2 = _prepare(get_example("gl2"), 3)
     est = max_irreducible_dim(gl2, samples=10, seed=0)
     assert est.m_est == 3
     elapsed = time.monotonic() - started
@@ -151,9 +150,9 @@ def test_c4_fraction_field_certification():
         for p in PRIMES_C1:
             if (n * m) % p == 0:
                 continue
-            alg = _prepare(get_example(f"remark:{n}:{m}"), p, None)
+            alg = _prepare(get_example(f"remark:{n}:{m}"), p)
             cb = center_basis_bounded(alg, 2 * p - 2, seed=0)
-            r = rank_over_p_center(cb, alg, 0)
+            r = cb.rank
             phi = ue_monomial(alg, (0, m, 0))
             psi = ue_monomial(alg, (0, 0, n))
             d = fraction_field_degree(phi, psi, alg, p, seed=0)
@@ -163,7 +162,7 @@ def test_c4_fraction_field_certification():
 
 
 def test_c5_kac_counterexample():
-    alg = _prepare(get_example("remark:1:1"), 3, None)
+    alg = _prepare(get_example("remark:1:1"), 3)
     cb = center_basis_bounded(alg, 4, seed=0)
     xy2 = ue_monomial(alg, (0, 1, 2))
     assert any(el == xy2 for el in cb.elements)

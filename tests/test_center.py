@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kw1 import center, linalg
 from kw1.center import (
@@ -12,7 +14,6 @@ from kw1.center import (
     kw1_verdict,
     p_center_generators,
     rank_over_frobenius_subring,
-    rank_over_p_center,
     zp_coordinates,
     zp_subalgebra_contains,
 )
@@ -118,13 +119,13 @@ def test_center_elements_commute_exactly(make_algebra):
 def test_rank_over_p_center_values(make_algebra):
     alg = make_algebra("remark:1:1", 3)
     cb = center_basis_bounded(alg, 4, seed=0)
-    assert rank_over_p_center(cb, alg, 0) == 3
+    assert cb.rank == 3
     alg5 = make_algebra("sl2", 5)
     cb5 = center_basis_bounded(alg5, 8, seed=0)
-    assert rank_over_p_center(cb5, alg5, 0) == 5
+    assert cb5.rank == 5
     ab = make_algebra("abelian:2", 3)
     cb_ab = center_basis_bounded(ab, 4, seed=0)
-    assert rank_over_p_center(cb_ab, ab, 0) == 9
+    assert cb_ab.rank == 9
 
 
 def test_zp_membership_counterexample(make_algebra):
@@ -182,6 +183,20 @@ def test_frobenius_rank_lemma_values(p):
     assert rank_over_frobenius_subring(2, [x, y], p, seed=0) == 1
 
 
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.data())
+def test_frobenius_rank_of_monomials_closed_form(data):
+    # B . A^p for monomials x^(m_j) has the reduced monomials of the F_p-span
+    # of the rows m_j mod p as a basis, so the rank is p^(n - rank_Fp(M mod p))
+    n = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11]))
+    rows = data.draw(st.lists(st.tuples(*[st.integers(0, p + 1)] * n), max_size=3))
+    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(rows), max_size=len(rows)))
+    gens = [{m: c} for m, c in zip(rows, coeffs)]
+    span = linalg.rank_modp(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)
+    assert rank_over_frobenius_subring(n, gens, p, seed=0) == p ** (n - span)
+
+
 def test_frobenius_rank_nonmonomial():
     # B generated by x + y: still transcendence degree 1
     assert rank_over_frobenius_subring(2, [{(1, 0): 1, (0, 1): 1}], 3, seed=0) == 3
@@ -234,19 +249,12 @@ def test_degree_bound_memory_cap(make_algebra):
     assert info.value.count > info.value.cap
 
 
-def test_frobenius_stabilization_bound():
-    from kw1.errors import StabilizationNotReached
-
-    with pytest.raises(StabilizationNotReached):
-        rank_over_frobenius_subring(2, [{(1, 0): 1}], 3, stabilization_bound=0)
-
-
 def test_rank_monotone_in_degree(make_algebra):
     alg = make_algebra("heisenberg", 3)
     ranks = []
     for bound in range(1, 5):
         cb = center_basis_bounded(alg, bound, seed=0)
-        ranks.append(rank_over_p_center(cb, alg, 0))
+        ranks.append(cb.rank)
     assert ranks == sorted(ranks)
     assert all(r <= 3 for r in ranks)
     assert ranks[-1] == 3
@@ -287,7 +295,7 @@ def test_d_minus_1_slice_is_the_d_minus_1_center(monkeypatch):
         for p in (3, 5, 7):
             if (name == "gl2" and p == 5) or (name == "abelian:4" and p >= 5):
                 continue
-            alg = _prepare(pres, p, None)
+            alg = _prepare(pres, p)
             bound = center.default_degree_bound(alg)
             ranked.clear()
             cb = center_basis_bounded(alg, bound, seed=0)
@@ -345,7 +353,7 @@ def test_nullspace_centrality_self_check(make_algebra, monkeypatch):
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_commutator_matrix_matches_pbw_bracket(p):
     for name, pres in builtin_examples().items():
-        alg = _prepare(pres, p, None)
+        alg = _prepare(pres, p)
         n = alg.n
         for bound in (1, 3):
             monos = sorted(monomials_upto(n, bound), key=deglex_key, reverse=True)

@@ -208,6 +208,15 @@ def test_cli_lemma1(capsys):
     assert blob["rankOverBAp"] == 1
 
 
+@pytest.mark.parametrize(
+    "nvars,prime,gens", [("2", "7", "x1,x2"), ("1", "11", "x1")]
+)
+def test_cli_lemma1_needs_every_power_below_p(capsys, nvars, prime, gens):
+    # the rank needs every product x1^k1 .. xn^kn with k_i < p, up to n (p - 1) factors
+    assert main(["lemma1", "--nvars", nvars, "--prime", prime, "--gens", gens]) == 0
+    assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 1
+
+
 def test_cli_examples_listing(capsys):
     assert main(["examples"]) == 0
     blob = json.loads(capsys.readouterr().out)

@@ -1,6 +1,8 @@
 import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kw1 import liealg
@@ -8,6 +10,7 @@ from kw1.cli import main
 from kw1.errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
 from kw1.liealg import (
     LieAlgebraPresentation,
+    RestrictedStructure,
     base_change_mod_p,
     compute_p_map,
     index_generic,
@@ -170,6 +173,31 @@ def test_signature_pinned(name):
     got = tuple(with_p_map(base_change_mod_p(get_example(name), p)).signature()
                 for p in (3, 5, 7))
     assert got == PINNED_SIGNATURES[name]
+
+
+def _python_matmul(a, b, p):
+    return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+
+def test_p_map_at_the_top_of_the_int64_envelope():
+    from kw1.linalg import LARGEST_EXACT_PRIME as p
+
+    sl2 = with_p_map(base_change_mod_p(get_example("sl2"), p))
+    assert [list(row) for row in sl2.restricted.rows] == [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+    heis = with_p_map(base_change_mod_p(get_example("heisenberg"), p))
+    assert not any(any(row) for row in heis.restricted.rows)
+    assert verify_restricted(sl2, sl2.restricted)
+    assert not verify_restricted(sl2, RestrictedStructure(rows=((p - 1, 0, 0), (0, 0, 0), (0, 0, 0))))
+    # a dense matrix of residues near p: an unreduced int64 product
+    # overflows; Python ints are the reference
+    rng = random.Random(1)
+    m = [[p - 1 - rng.randrange(9) for _ in range(3)] for _ in range(3)]
+    power, base, k = [[int(r == c) for c in range(3)] for r in range(3)], m, p
+    while k:
+        if k & 1:
+            power = _python_matmul(power, base, p)
+        base, k = _python_matmul(base, base, p), k >> 1
+    assert liealg._pth_power(np.array(m, dtype=np.int64), p).tolist() == power
 
 
 def test_structure_constants_and_p_map_are_int_residues():

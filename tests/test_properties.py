@@ -11,7 +11,6 @@ import pytest
 from kw1.center import (
     center_basis_bounded,
     p_center_generators,
-    rank_over_p_center,
     zp_coordinates,
 )
 from kw1.cli import _prepare
@@ -49,7 +48,7 @@ def random_element(alg, rng, max_terms=3, max_degree=4):
 
 
 def suite_algebras(p):
-    return [_prepare(get_example(name), p, None) for name in SUITE]
+    return [_prepare(get_example(name), p) for name in SUITE]
 
 
 def test_pbw_associativity_100_trials():
@@ -128,7 +127,7 @@ def test_xi_centrality_all_suite(p):
 
 def test_zp_reassembly_100_per_algebra():
     for name in SUITE:
-        alg = _prepare(get_example(name), 3, None)
+        alg = _prepare(get_example(name), 3)
         rng = random.Random(hash_seed := 900 + len(name))
         for _ in range(100):
             a = random_element(alg, rng, max_terms=3, max_degree=7)
@@ -139,12 +138,12 @@ def test_rank_monotone_and_bounded_sweep():
     points = 0
     for p in (2, 3, 5):
         for name in SUITE:
-            alg = _prepare(get_example(name), p, None)
+            alg = _prepare(get_example(name), p)
             cap = p ** index_generic(alg, 3, 0)
             prev = 0
             for bound in range(1, 2 * p - 1 + 1):
                 cb = center_basis_bounded(alg, bound, seed=0)
-                r = rank_over_p_center(cb, alg, 0)
+                r = cb.rank
                 assert prev <= r <= cap
                 prev = r
                 points += 1
@@ -161,7 +160,7 @@ def test_split_dims_sum_100_cases():
     ]
     cases = 0
     for name, p in combos:
-        alg = _prepare(get_example(name), p, None)
+        alg = _prepare(get_example(name), p)
         field = alg.field
         for _ in range(10):
             chi = Character(
@@ -179,7 +178,7 @@ def test_index_parity_100_cases():
     cases = 0
     for p in (2, 3, 5, 7):
         for name in SUITE + ("gl2", "borel2", "abelian:4"):
-            alg = _prepare(get_example(name), p, None)
+            alg = _prepare(get_example(name), p)
             for seed in (0, 1, 2):
                 ind = index_generic(alg, 3, seed)
                 assert (alg.n - ind) % 2 == 0
@@ -191,7 +190,7 @@ def test_index_parity_100_cases():
 def test_index_mod_p_matches_rational(p):
     for name in SUITE + ("gl2", "borel2"):
         pres = get_example(name)
-        alg = _prepare(pres, p, None)
+        alg = _prepare(pres, p)
         assert index_generic(alg, 3, 0) == index_generic(pres, 3, 0), name
 
 
@@ -200,7 +199,7 @@ def test_semi_invariant_power_law():
     cases = 0
     rng = random.Random(13)
     for name, p in (("remark:1:1", 3), ("remark:1:2", 3), ("remark:2:3", 5)):
-        alg = _prepare(get_example(name), p, None)
+        alg = _prepare(get_example(name), p)
         for _ in range(20):
             i = rng.randrange(1, 3)
             k = rng.randrange(1, 3)
@@ -246,7 +245,7 @@ def test_prime_field_scalars_are_int_residues(p, tmp_path):
     rng = random.Random(8000 + p)
     cases = 0
     for name in BUILTINS:
-        alg = _prepare(get_example(name), p, None)
+        alg = _prepare(get_example(name), p)
         for _ in range(4):
             a = random_element(alg, rng)
             b = random_element(alg, rng)
@@ -258,7 +257,7 @@ def test_prime_field_scalars_are_int_residues(p, tmp_path):
         _assert_memo_residues(alg)
         path = tmp_path / f"{name.replace(':', '-')}.pkl"
         count = save_memo(alg, path)
-        fresh = _prepare(get_example(name), p, None)
+        fresh = _prepare(get_example(name), p)
         assert load_memo(fresh, path) == count
         _assert_memo_residues(fresh)
     assert cases >= 100
