@@ -8,12 +8,12 @@ over the fraction field of the p-center are obtained by specializing
 the formal xi variables at random points of a large enough extension
 (three tries, maximum rank), so every reported rank is an attained
 lower bound that equals the true rank with Schwartz-Zippel confidence.
-The coordinate terms are gathered once per rank into index arrays (row,
-column, xi-monomial, coefficient); at each point every distinct
-xi-monomial is evaluated once, as an F_p coefficient vector, and the
-terms are scatter-added into a (rows, cols, e) array that is ranked by
-the blocked F_p kernel of ``linalg``.  One routine does this for every
-rank (``_specialized_rank``).
+The coordinate terms are gathered into index arrays (row, column,
+xi-monomial, coefficient) once, as rows are added; at each point every
+distinct xi-monomial is evaluated once, as an F_p coefficient vector,
+and the terms are scatter-added into a (rows, cols, e) array that is
+ranked by the blocked F_p kernel of ``linalg``.  One routine does this
+for every rank (``_specialized_rank``).
 
 ``rank_over_frobenius_subring`` (``kw1 lemma1``) is the commutative
 model: the rank of A = F_p[x_1..x_n] over B . A^p.  Its generating set
@@ -22,6 +22,27 @@ over A^p by the products prod_j g_j^{k_j} with 0 <= k_j < p, which are
 ranked once, with no closure to stabilize.  The verdict still closes the
 center under products for at most ``PRODUCT_ROUNDS`` rounds: a central z
 need not have z^p in the p-center, so no such finite set is known there.
+
+That closure does each piece of work once, and each shortcut is exact,
+so every rank, field and report is what forming everything anew gives:
+
+- zp is linear: zp(sum c_m x^m) = sum c_m zp(x^m), and coordinates in
+  the free module are unique.  zp(x^m) is memoized per PBW monomial on
+  the algebra (``_pbw_memo["zp-coordinates"]``), like straightening.  A
+  monomial whose exponents >= p fall only on variables with x_i^[p] = 0
+  needs no entry: there x_i^p = xi_i, so x^m = xi^(m // p) x^(m mod p),
+  one term.  Abelian algebras store nothing.
+- Closure elements are central, so they commute, and a product depends
+  only on the multiset of basis elements it multiplies.  A multiset met
+  again in the same round has its product in ``seen`` already (or zero),
+  so the round would drop it; it is skipped unformed.
+- The D-1 basis elements are the D slice's elements of degree <= D-1,
+  the same objects, so a product over them that the D closure formed is
+  the D-1 closure's product too.  ``_ProductTable`` passes it, with its
+  coordinates, to the D-1 closure, which also computes coordinates only
+  for elements the D closure never met.
+- Each row is gathered into the index arrays once, when it is added.
+  Ranks do not depend on the order of rows or columns.
 
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
@@ -160,51 +181,70 @@ class ZpCoordinateVector:
         return total if total is not None else UEElement(alg, {})
 
 
-def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
-    """Eliminate every exponent >= p by the rewrite x_i^p = xi_i + x_i^[p].
+def _monomial_coordinates(alg: ModularLieAlgebra, mono, pmapped):
+    """zp(x^mono) as pairs ((reduced monomial, xi exponents), residue).
 
-    The substitution always targets the leftmost block of p letters of
-    the offending variable; since xi_i is central it factors out, and
-    the p-map remainder is restraightened with the PBW engine.  Each
-    substitution strictly drops the total degree, so this terminates.
+    ``pmapped[i]`` says whether x_i^[p] is nonzero.  When every exponent
+    >= p falls on a variable with x_i^[p] = 0, x^mono = xi^(mono // p)
+    x^(mono mod p) is a single term, built on the spot.  Otherwise the
+    leftmost such block of p letters is rewritten, x^mono = xi_hot
+    x^reduced + x^prefix x_hot^[p] x^remainder, each part by recursion on
+    smaller degree, and the pairs are memoized on the algebra like
+    straightening.
+    """
+    p = alg.p
+    hot = next((i for i, a in enumerate(mono) if a >= p and pmapped[i]), None)
+    if hot is None:
+        return (((tuple(a % p for a in mono), tuple(a // p for a in mono)), 1),)
+    memo = alg._pbw_memo.setdefault("zp-coordinates", {})
+    hit = memo.get(mono)
+    if hit is not None:
+        return hit
+    # x^mono = x^prefix . x_hot^p . x^remainder, and xi_hot is central
+    prefix = tuple(a if k < hot else 0 for k, a in enumerate(mono))
+    remainder = tuple(a - p if k == hot else (a if k > hot else 0) for k, a in enumerate(mono))
+    reduced = tuple(a - p if k == hot else a for k, a in enumerate(mono))
+    out = {
+        (r, tuple(x + 1 if k == hot else x for k, x in enumerate(xi))): c
+        for (r, xi), c in _monomial_coordinates(alg, reduced, pmapped)
+    }
+    get = out.get
+    for l, cl in enumerate(alg.restricted.vector(hot)):
+        if not cl:
+            continue
+        for m1, c1 in _mono_times_letter(alg, prefix, l).items():
+            for m2, c2 in _mono_times_mono(alg, m1, remainder).items():
+                c = cl * c1 * c2
+                for key, a in _monomial_coordinates(alg, m2, pmapped):
+                    out[key] = get(key, 0) + c * a
+    result = memo[mono] = tuple(reduce_sparse(out, p).items())
+    return result
+
+
+def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
+    """Coordinates of ``a`` over the p-center, by the rewrite x_i^p = xi_i + x_i^[p].
+
+    zp is linear, so the map of a = sum c_m x^m is sum c_m zp(x^m), read
+    from ``_monomial_coordinates`` (memoized per PBW monomial) and reduced
+    once.  Coordinates in the free module are unique, so the result does
+    not depend on the order of the rewrites.
     """
     if alg.restricted is None:
         raise ValueError("algebra carries no restricted structure")
-    n = alg.n
     p = alg.p
-    zero_xi = (0,) * n
-    work = [(zero_xi, mono, c) for mono, c in a.terms.items()]
+    pmapped = tuple(any(alg.restricted.vector(i)) for i in range(alg.n))
     out: dict = {}
-    while work:
-        xi_exps, mono, coeff = work.pop()
-        hot = next((i for i in range(n) if mono[i] >= p), None)
-        if hot is None:
-            bucket = out.setdefault(mono, {})
-            bucket[xi_exps] = bucket.get(xi_exps, 0) + coeff
-            continue
-        # split x^mono = prefix . x_hot^p . remainder
-        prefix = tuple(mono[k] if k < hot else 0 for k in range(n))
-        remainder = tuple(
-            mono[k] - (p if k == hot else 0) if k >= hot else 0 for k in range(n)
-        )
-        # central substitution term: xi_hot pulled out front
-        new_xi = tuple(x + (1 if k == hot else 0) for k, x in enumerate(xi_exps))
-        reduced = tuple(x - (p if k == hot else 0) for k, x in enumerate(mono))
-        work.append((new_xi, reduced, coeff))
-        # p-map remainder term: prefix * x_l * remainder, restraightened
-        for l, cl in enumerate(alg.restricted.vector(hot)):
-            if not cl:
-                continue
-            for m1, c1 in _mono_times_letter(alg, prefix, l).items():
-                c = coeff * cl * c1
-                for m2, c2 in _mono_times_mono(alg, m1, remainder).items():
-                    work.append((xi_exps, m2, c * c2 % p))
-    coords = {}
-    for mono, bucket in out.items():
-        terms = reduce_sparse(bucket, p)
-        if terms:
-            coords[mono] = SymPoly._reduced(alg.field, n, terms)
-    return ZpCoordinateVector(alg, coords)
+    get = out.get
+    for mono, c in a.terms.items():
+        for key, v in _monomial_coordinates(alg, mono, pmapped):
+            out[key] = get(key, 0) + c * v
+    coords: dict = {}
+    for (mono, xi), v in out.items():
+        if v % p:
+            coords.setdefault(mono, {})[xi] = v % p
+    return ZpCoordinateVector(
+        alg, {mono: SymPoly._reduced(alg.field, alg.n, terms) for mono, terms in coords.items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +283,11 @@ def _check_matrix_budget(n: int, count: int):
 def _check_rank_budget(rows: int, cols: int, e: int):
     """Refuse a specialized rows x cols rank over F_{p^e} whose matrices exceed the cap.
 
-    A rank holds the (rows, cols, e) int64 coefficient array and its
-    (rows e) x (cols e) blocked F_p form at once, 8 rows cols e (e + 1)
-    bytes.  ``linalg.blocked_coefficients`` allocates no temporary, and
-    the rank's own temporaries are per block of rows.
+    The count is 8 rows cols e (e + 1) bytes: the (rows e) x (cols e)
+    blocked F_p form plus a (rows, cols, e) int64 coefficient array.
+    ``_CoordinateTerms.rank`` writes the coefficients straight into the
+    blocked form (``linalg.blocked_form``), so it allocates only the
+    first part; the rank's own temporaries are per block of rows.
     """
     nbytes = 8 * rows * cols * e * (e + 1)
     if nbytes > MATRIX_BYTES_CAP:
@@ -337,6 +378,8 @@ def center_basis_bounded(
     canonical basis elements of degree <= D-1 (see the module docstring).
     The rank at D is specialized over a field of degree at least
     ``min_extension``; the rank at D-1 over the smallest sufficient one.
+    Both closures share one ``_ProductTable``, so the D-1 closure reads
+    the products and coordinates the D closure formed over its factors.
     ``stabilized`` is true when the two ranks agree, the working signal
     that no new central directions appear at the top degree.
     """
@@ -344,8 +387,11 @@ def center_basis_bounded(
         raise ValueError("degree bound must be >= 1")
     elements = _center_space(alg, bound)
     prev_elements = [el for el in elements if el.degree <= bound - 1]
-    r_here, field = _rank_of_elements(alg, elements, seed, min_extension)
-    r_prev = _rank_of_elements(alg, prev_elements, seed)[0]
+    factors = [el for el in elements if not el.is_zero()]
+    shared = [k for k, el in enumerate(factors) if el.degree <= bound - 1]
+    table = _ProductTable(alg, factors, shared)
+    r_here, field = _rank_of_elements(alg, elements, seed, min_extension, table=table)
+    r_prev = _rank_of_elements(alg, prev_elements, seed, table=table)[0]
     return CenterBasis(
         degree_bound=bound,
         elements=tuple(elements),
@@ -360,44 +406,65 @@ def center_basis_bounded(
 # ---------------------------------------------------------------------------
 
 class _CoordinateTerms:
-    """Every term of a list of coordinate maps, gathered once into index arrays.
+    """Every term of a growing list of coordinate maps, in index arrays.
 
-    Row r of the matrix is ``maps[r]``, column c the reduced monomial
-    ``columns[c]``, and the entry the polynomial ``maps[r][columns[c]]``.
-    Term t adds ``coef[t] * xi^exponents[mono[t]]`` to entry
-    (row[t], col[t]), so a specialization evaluates each distinct
-    xi-monomial once and scatters the products.
+    Row r of the matrix is the r-th map given, column c the reduced
+    monomial ``columns[c]`` (numbered in the order first met), and the
+    entry the polynomial ``maps[r][columns[c]]``.  Term t adds
+    ``coef[t] * xi^exponents[mono[t]]`` to entry (row[t], col[t]), so a
+    specialization evaluates each distinct xi-monomial once and scatters
+    the products.  ``extend`` gathers only the rows it is given, so a
+    closure gathers each row once however many ranks it takes.
     """
 
     def __init__(self, maps, num_vars: int):
-        self.columns = sorted({m for c in maps for m in c}, key=deglex_key)
-        col_index = {m: k for k, m in enumerate(self.columns)}
-        mono_ids: dict = {}
+        self.num_vars = num_vars
+        self.columns: list = []
+        self._col_index: dict = {}
+        self._mono_ids: dict = {}
+        self.rows = 0
+        self.row = self.col = self.mono = np.zeros(0, dtype=np.intp)
+        self.coef = np.zeros(0, dtype=np.int64)
+        self.extend(maps)
+
+    def extend(self, maps):
+        """Append one row per coordinate map."""
+        col_index, mono_ids, columns = self._col_index, self._mono_ids, self.columns
         row, col, mono, coef = [], [], [], []
-        for r, coords in enumerate(maps):
+        for r, coords in enumerate(maps, self.rows):
             for m, poly in coords.items():
-                c = col_index[m]
+                c = col_index.get(m)
+                if c is None:
+                    c = col_index[m] = len(columns)
+                    columns.append(m)
                 for xi, a in poly.terms.items():
                     row.append(r)
                     col.append(c)
                     mono.append(mono_ids.setdefault(xi, len(mono_ids)))
                     coef.append(a)
-        self.shape = (len(maps), len(self.columns))
-        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(len(mono_ids), num_vars)
-        self.row = np.array(row, dtype=np.intp)
-        self.col = np.array(col, dtype=np.intp)
-        self.mono = np.array(mono, dtype=np.intp)
-        self.coef = np.array(coef, dtype=np.int64)
+        self.rows += len(maps)
+        self.row = np.concatenate([self.row, np.array(row, dtype=np.intp)])
+        self.col = np.concatenate([self.col, np.array(col, dtype=np.intp)])
+        self.mono = np.concatenate([self.mono, np.array(mono, dtype=np.intp)])
+        self.coef = np.concatenate([self.coef, np.array(coef, dtype=np.int64)])
+        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(
+            len(mono_ids), self.num_vars
+        )
+
+    @property
+    def shape(self):
+        return self.rows, len(self.columns)
 
     @property
     def max_degree(self) -> int:
         """Largest total xi-degree of a term; 0 without terms."""
         return int(self.exponents.sum(axis=1).max(initial=0))
 
-    def values(self, point, field: GF) -> np.ndarray:
+    def values(self, point, field: GF, out=None) -> np.ndarray:
         """(rows, cols, e) coefficient array of the matrix at ``point``.
 
-        ``point`` holds one ``FFElem`` of ``field`` per xi variable.  int64:
+        Written into ``out`` (zeroed, any strides) when given.  ``point``
+        holds one ``FFElem`` of ``field`` per xi variable.  int64:
         each term is reduced below p before the scatter-add, so an entry
         hit by T terms stays below T p.  T is at most the number of
         gathered terms; inside ``linalg.require_exact_prime``, 2^63 / p
@@ -414,14 +481,17 @@ class _CoordinateTerms:
         vals[:, 0] = 1
         for i in range(at.shape[0]):
             vals = _field_mul(vals, powers[self.exponents[:, i], i], field)
-        out = np.zeros(self.shape + (e,), dtype=np.int64)
+        if out is None:
+            out = np.zeros(self.shape + (e,), dtype=np.int64)
         np.add.at(out, (self.row, self.col), vals[self.mono] * self.coef[:, None] % p)
         out %= p
         return out
 
     def rank(self, point, field: GF) -> int:
         _check_rank_budget(*self.shape, field.e)
-        return linalg.rank_coefficient_array(self.values(point, field), field)
+        big, coeffs = linalg.blocked_form(*self.shape, field)
+        self.values(point, field, out=coeffs)
+        return linalg.rank_blocked(big, field)
 
 
 def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
@@ -444,21 +514,19 @@ def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     return out
 
 
-def _specialized_rank(maps, p, n, field_tag, seed, point_seed, min_ext=1):
-    """Max specialized rank of coordinate rows over up to RANK_TRIALS random points.
+def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed, min_ext=1):
+    """Max specialized rank of gathered coordinate rows over up to RANK_TRIALS random points.
 
-    Row r is the coordinate map ``maps[r]`` (reduced monomial -> polynomial
-    in n variables); empty maps are dropped.  The field is F_{p^e}, e the
+    ``terms`` holds the nonzero coordinate maps (reduced monomial ->
+    polynomial in n variables) as rows.  The field is F_{p^e}, e the
     smallest with p^e >= 4 n^2 d for d the largest total degree of a
     coordinate (at least ``min_ext``), its modulus drawn from
     ``derive_seed(field_tag, p, e, seed)``; the points come from
     ``random.Random(point_seed)``, and the trials stop at full rank.
-    Returns (rank, field), or (0, F_p) without a nonzero row.
+    Returns (rank, field), or (0, F_p) without a row.
     """
-    live = [m for m in maps if m]
-    if not live:
+    if not terms.rows:
         return 0, prime_field(p)
-    terms = _CoordinateTerms(live, n)
     e = max(sz_extension_degree(p, n, terms.max_degree), min_ext)
     field = galois_field(p, e, seed=derive_seed(field_tag, p, e, seed))
     rng = random.Random(point_seed)
@@ -471,49 +539,137 @@ def _specialized_rank(maps, p, n, field_tag, seed, point_seed, min_ext=1):
     return best, field
 
 
-def _new_products(frontier, gens, seen, commuting_square=False):
+def _element_key(el: UEElement):
+    return frozenset(el.terms.items())
+
+
+class _Entry:
+    """One distinct element met by a closure: its key, a factor label, its coordinates."""
+
+    __slots__ = ("key", "label", "coords")
+
+    def __init__(self, key, label):
+        self.key = key
+        self.label = label
+        self.coords = None
+
+
+class _ProductTable:
+    """Central products over one list of factors, each formed once.
+
+    ``factors`` are the nonzero basis elements of a center slice.  A
+    product is labelled by the sorted tuple of the factor indices it
+    multiplies; central factors commute, so the label fixes the product.
+    ``entries`` holds one entry per distinct element met (keyed by the
+    frozenset of its terms, the key ``seen`` sets hold), with the label it
+    was first formed under and its coordinate map once computed.
+    ``formed`` maps each label over the ``shared`` factors to the entry of
+    its product (None when zero), so a later closure over those factors
+    reads products and coordinates instead of forming them again.  Only
+    references to entries are kept, never a second copy of a product.
+    """
+
+    def __init__(self, alg: ModularLieAlgebra, factors, shared=()):
+        self.alg = alg
+        self.index = {}
+        self.entries = {}
+        for k, el in enumerate(factors):
+            key = _element_key(el)
+            self.index[key] = k
+            self.entries[key] = _Entry(key, (k,))
+        one = _element_key(ue_one(alg))
+        self.entries.setdefault(one, _Entry(one, ()))
+        self.shared = frozenset(shared)
+        self.formed: dict = {}
+
+    def multiply(self, a: UEElement, b: UEElement, label):
+        """Form a * b under ``label``; returns (entry or None when zero, product)."""
+        prod = a * b
+        entry = None
+        if not prod.is_zero():
+            key = _element_key(prod)
+            entry = self.entries.get(key)
+            if entry is None:
+                entry = self.entries[key] = _Entry(key, label)
+        if self.shared.issuperset(label):
+            self.formed[label] = entry
+        return entry, prod
+
+    def coordinates(self, el: UEElement):
+        """``zp_coordinates`` of ``el``, computed once per distinct element."""
+        entry = self.entries[_element_key(el)]
+        if entry.coords is None:
+            entry.coords = zp_coordinates(el, self.alg).coordinates
+        return entry.coords
+
+
+def _new_products(frontier, gens, seen, table: _ProductTable, commuting_square=False):
     """Nonzero products a * b, a in ``frontier``, b in ``gens``, not in ``seen``.
 
-    Each new product's key is added to ``seen``.  With ``commuting_square``
-    the frontier is ``gens`` itself and its elements commute, so
-    b * a = a * b: only pairs with b at or after a are formed, which yields
-    the same list in the same order as the full double loop.
+    ``gens`` are factors of ``table`` and every frontier element has an
+    entry there.  Each new product's key is added to ``seen``.  A factor
+    multiset met twice in one call is skipped the second time: its product
+    is then in ``seen`` or zero.  A multiset ``table.formed`` already holds
+    is read, not multiplied.  With ``commuting_square`` the frontier is
+    ``gens`` itself and its elements commute, so b * a = a * b: only pairs
+    with b at or after a are formed, which yields the same list in the
+    same order as the full double loop.
     """
+    ids = [table.index[_element_key(b)] for b in gens]
+    done = set()
     new_items = []
     for k, a in enumerate(frontier):
-        for b in gens[k:] if commuting_square else gens:
-            prod = a * b
-            key = frozenset(prod.terms.items())
-            if key in seen or prod.is_zero():
+        head = table.entries[_element_key(a)].label
+        for j in range(k if commuting_square else 0, len(gens)):
+            label = tuple(sorted(head + (ids[j],)))
+            if label in done:
                 continue
-            seen.add(key)
+            done.add(label)
+            if label in table.formed:
+                entry, prod = table.formed[label], None
+            else:
+                entry, prod = table.multiply(a, gens[j], label)
+            if entry is None or entry.key in seen:
+                continue
+            seen.add(entry.key)
+            if prod is None:
+                prod = UEElement._reduced(table.alg, dict(entry.key))
             new_items.append(prod)
     return new_items
 
 
-def _rank_of_elements(alg, elements, seed, min_ext=1):
+def _rank_of_elements(alg, elements, seed, min_ext=1, table=None):
     """Stabilized rank of the p-center subalgebra generated by ``elements``.
 
     Closes under products of at most two factors per round, at most
     PRODUCT_ROUNDS rounds, stopping as soon as the specialized rank
     stops growing.  The elements are central, so round one forms each
-    unordered pair once.  Returns (rank, specialization field).
+    unordered pair once.  Products and coordinates come from ``table``
+    (built here over ``elements`` when not given), whose factors must
+    include ``elements``; rows are gathered once, as they are added.
+    Returns (rank, specialization field).
     """
-    one = ue_one(alg)
-    pool = [one] + [el for el in elements if not el.is_zero()]
-    seen = {frozenset(el.terms.items()) for el in pool}
-    maps = [zp_coordinates(el, alg).coordinates for el in pool]
+    pool = [ue_one(alg)] + [el for el in elements if not el.is_zero()]
+    gens = pool[1:]
+    if table is None:
+        table = _ProductTable(alg, gens)
+    seen = {_element_key(el) for el in pool}
+    terms = _CoordinateTerms([], alg.n)
+
+    def add_rows(items):
+        terms.extend([m for m in map(table.coordinates, items) if m])
+
+    add_rows(pool)
     point_seed = derive_seed("specialize", alg.signature(), seed)
     spec = (alg.p, alg.n, "spec-field", seed, point_seed, min_ext)
-    r, field = _specialized_rank(maps, *spec)
-    gens = pool[1:]
+    r, field = _specialized_rank(terms, *spec)
     frontier = gens
     for rnd in range(PRODUCT_ROUNDS):
-        new_items = _new_products(frontier, gens, seen, commuting_square=(rnd == 0))
+        new_items = _new_products(frontier, gens, seen, table, commuting_square=(rnd == 0))
         if not new_items:
             break
-        maps.extend(zp_coordinates(el, alg).coordinates for el in new_items)
-        r2, field = _specialized_rank(maps, *spec)
+        add_rows(new_items)
+        r2, field = _specialized_rank(terms, *spec)
         frontier = new_items
         if r2 == r:
             break
@@ -570,17 +726,18 @@ def fraction_field_degree(
     j_blocks = -(-power_bound // p)  # ceil
     exponent = p * j_blocks
     point_seed = derive_seed("specialize", alg.signature(), seed)
-    maps = []
+    terms = _CoordinateTerms([], alg.n)
     psi_pow = [ue_one(alg)]
     for _ in range(exponent):
         psi_pow.append(psi_pow[-1] * psi)
     phi_pow = ue_one(alg)
     for d in range(power_bound + 1):
         v = phi_pow * psi_pow[exponent - d]
-        maps.append(zp_coordinates(v, alg).coordinates)
+        coords = zp_coordinates(v, alg).coordinates
+        terms.extend([coords] if coords else [])
         if d >= 1:
-            r, _ = _specialized_rank(maps, p, alg.n, "spec-field", seed, point_seed)
-            if r < len(maps):
+            r, _ = _specialized_rank(terms, p, alg.n, "spec-field", seed, point_seed)
+            if r < d + 1:
                 return d
         phi_pow = phi_pow * phi
     return power_bound + 1
@@ -623,11 +780,18 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
     The answer is p^n divided by that rank r.  Frac(A) is purely
     inseparable over Frac(B . A^p), so r is a power of p; a rank not
     dividing p^n raises ``SelfCheckFailure``.
+
+    Each table keeps every earlier product (k_j = 0), so its distinct
+    products and the reduced monomials they meet bound the final rank's
+    rows and columns from below: ``_check_rank_budget`` refuses an
+    over-budget input after the table that first exceeds it (at e = 1),
+    before the next one, p times larger, is formed.
     """
     linalg.require_exact_prime(p)
     field = prime_field(p)
     one = SymPoly.one(field, num_vars)
     products = {frozenset(one.terms.items()): one}
+    columns = {(0,) * num_vars}
     for g in b_generators:
         g = g if isinstance(g, SymPoly) else SymPoly(field, num_vars, g)
         if g.is_zero():
@@ -635,12 +799,17 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
         powers = [one]
         for _ in range(p - 1):
             powers.append(powers[-1] * g)
-        products = {
+        grown = {
             frozenset(c.terms.items()): c
             for c in (a * b for a in products.values() for b in powers)
         }
+        for key in grown.keys() - products.keys():
+            columns.update(tuple(a % p for a in exps) for exps, _ in key)
+        products = grown
+        _check_rank_budget(len(products), len(columns), 1)
+    maps = [_frobenius_coordinates(f, p) for f in products.values()]
     r, _ = _specialized_rank(
-        [_frobenius_coordinates(f, p) for f in products.values()], p, num_vars,
+        _CoordinateTerms([m for m in maps if m], num_vars), p, num_vars,
         "frob-field", seed, derive_seed("frob-points", p, num_vars, seed),
     )
     total = p**num_vars

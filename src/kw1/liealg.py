@@ -217,6 +217,19 @@ def _pth_power(m: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _ad_powers(alg: ModularLieAlgebra):
+    """(``ad_matrices(alg)``, each (ad x_i)^p), computed once per algebra.
+
+    ``compute_p_map`` and ``verify_restricted`` both read them; they are
+    kept with the algebra's derived caches, which ``save_memo`` skips.
+    """
+    hit = alg._pbw_memo.get("ad-powers")
+    if hit is None:
+        ads = ad_matrices(alg)
+        hit = alg._pbw_memo["ad-powers"] = (ads, [_pth_power(m, alg.p) for m in ads])
+    return hit
+
+
 def _solve_inner_derivation(alg: ModularLieAlgebra, ads: np.ndarray, target: np.ndarray):
     """Solve sum_k y_k ad(x_k) = target for y, canonical representative.
 
@@ -224,8 +237,8 @@ def _solve_inner_derivation(alg: ModularLieAlgebra, ads: np.ndarray, target: np.
     variables pinned to zero picks the minimal-support representative,
     which makes the p-map deterministic.  Returns None if not inner.
     """
-    rows = ads.reshape(alg.n, alg.n * alg.n).T.tolist()
-    return linalg.solve(rows, target.reshape(-1).tolist(), alg.field)
+    system = ads.reshape(alg.n, alg.n * alg.n).T
+    return linalg.solve_modp(system, target.reshape(-1), alg.p)
 
 
 def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
@@ -236,13 +249,13 @@ def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
     repeated runs agree.  Raises NotRestrictable when some (ad x_i)^p is
     not an inner derivation.
     """
-    ads = ad_matrices(alg)
+    ads, powers = _ad_powers(alg)
     rows = []
     for i in range(alg.n):
-        y = _solve_inner_derivation(alg, ads, _pth_power(ads[i], alg.p))
+        y = _solve_inner_derivation(alg, ads, powers[i])
         if y is None:
             raise NotRestrictable(i, alg.labels[i])
-        rows.append(tuple(y))
+        rows.append(tuple(y.tolist()))
     return RestrictedStructure(rows=tuple(rows))
 
 
@@ -261,11 +274,11 @@ def p_map_override_to_structure(alg: ModularLieAlgebra, override) -> RestrictedS
 def verify_restricted(alg: ModularLieAlgebra, rs: RestrictedStructure) -> bool:
     """Exact check of ad(x_i^[p]) == (ad x_i)^p for every i."""
     n, p = alg.n, alg.p
-    ads = ad_matrices(alg)
+    ads, powers = _ad_powers(alg)
     # row i: ad(x_i^[p]) = sum_k rs[i][k] ad(x_k), flattened
     coeffs = np.array(rs.rows, dtype=np.int64).reshape(n, n)
     images = linalg.matmul_modp(coeffs, ads.reshape(n, n * n), p)
-    return all(np.array_equal(images[i], _pth_power(ads[i], p).reshape(-1)) for i in range(n))
+    return all(np.array_equal(images[i], powers[i].reshape(-1)) for i in range(n))
 
 
 def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:

@@ -7,7 +7,9 @@ Two row reductions:
   every rank over F_{p^e} goes through it too: ``blocked_coefficients``
   embeds each F_{p^e} entry as its e x e multiplication matrix over F_p
   (``rank_coefficient_array`` takes the entries straight as a
-  (rows, cols, e) int64 array).  Solves are over F_p only.
+  (rows, cols, e) int64 array; ``blocked_form`` lets a caller write them
+  into block column 0 directly, and ``rank_blocked`` ranks the result).
+  Solves are over F_p only.
 * ``rref_ff``: one list RREF for scalars with field arithmetic and
   ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
   ``FFElem`` for nullspaces over extensions.
@@ -370,24 +372,23 @@ def _coefficients(rows) -> np.ndarray:
     return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int64)
 
 
-def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
-    """F_p form of a matrix over F_{p^e}, by the regular representation.
+def blocked_form(nrows: int, ncols: int, field: GF):
+    """A zeroed blocked F_p form and its block column 0 as coefficients.
 
-    ``coeffs`` is the (rows, cols, e) int64 array of entry coefficients,
-    reduced mod p.  Entry a becomes the e x e block of multiplication by a,
-    whose entry [i][j] is coefficient i of a * t^j (as in
-    ``GF.mul_matrix``).  Block column 0 is ``coeffs``; block column j is
-    block column j - 1 times t, a shift folded through the reduction
-    table, written straight into the final layout one (rows, cols) slice
-    at a time, so no temporary is allocated.  int64: each entry is one
-    residue plus a product of two, below p (p - 1).
+    Returns the (nrows e) x (ncols e) int64 matrix and a (nrows, ncols, e)
+    view of it: writing a coefficient array into the view fills block
+    column 0, so no separate coefficient array is needed.
     """
+    e = field.e
+    big = np.zeros((nrows * e, ncols * e), dtype=np.int64)
+    return big, big.reshape(nrows, e, ncols, e)[:, :, :, 0].transpose(0, 2, 1)
+
+
+def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
+    """Block columns 1 .. e-1 of a blocked form from its block column 0."""
     p, e = field.p, field.e
-    nrows, ncols = coeffs.shape[:2]
-    big = np.empty((nrows * e, ncols * e), dtype=np.int64)
     # a view: blocks[r, i, c, j] is big[r * e + i, c * e + j]
-    blocks = big.reshape(nrows, e, ncols, e)
-    blocks[:, :, :, 0] = coeffs.transpose(0, 2, 1)
+    blocks = big.reshape(big.shape[0] // e, e, big.shape[1] // e, e)
     red = field._red[0] if e > 1 else ()  # coefficients of t^e
     for j in range(1, e):
         top = blocks[:, e - 1, :, j - 1]
@@ -400,18 +401,43 @@ def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
     return big
 
 
-def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
-    """Rank over F_{p^e} of a (rows, cols, e) coefficient array, any e >= 1.
+def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
+    """F_p form of a matrix over F_{p^e}, by the regular representation.
 
-    The F_p-rank of ``blocked_coefficients`` is e times the rank.
+    ``coeffs`` is the (rows, cols, e) int64 array of entry coefficients,
+    reduced mod p.  Entry a becomes the e x e block of multiplication by a,
+    whose entry [i][j] is coefficient i of a * t^j (as in
+    ``GF.mul_matrix``).  Block column 0 is ``coeffs``; block column j is
+    block column j - 1 times t, a shift folded through the reduction
+    table, written straight into the final layout one (rows, cols) slice
+    at a time, so no temporary is allocated.  int64: each entry is one
+    residue plus a product of two, below p (p - 1).
     """
-    if not coeffs.size:
+    big, first = blocked_form(coeffs.shape[0], coeffs.shape[1], field)
+    first[...] = coeffs
+    return _fill_blocks(big, field)
+
+
+def rank_blocked(big: np.ndarray, field: GF) -> int:
+    """Rank over F_{p^e} of a ``blocked_form`` whose block column 0 is filled.
+
+    Fills the other block columns and ranks in place: the F_p-rank of the
+    blocked form is e times the rank.
+    """
+    if not big.size:
         return 0
     e = field.e
-    r = _rank_reduced(blocked_coefficients(coeffs, field), field.p)
+    r = _rank_reduced(_fill_blocks(big, field), field.p)
     if r % e:
         raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
     return r // e
+
+
+def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
+    """Rank over F_{p^e} of a (rows, cols, e) coefficient array, any e >= 1."""
+    big, first = blocked_form(coeffs.shape[0], coeffs.shape[1], field)
+    first[...] = coeffs
+    return rank_blocked(big, field)
 
 
 # ---------------------------------------------------------------------------

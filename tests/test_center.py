@@ -20,7 +20,8 @@ from kw1.center import (
 from kw1.cli import _prepare, main
 from kw1.errors import SelfCheckFailure, WeightMismatch
 from kw1.fields import galois_field, prime_field
-from kw1.registry import builtin_examples
+from kw1.liealg import index_generic
+from kw1.registry import builtin_examples, get_example
 from kw1.pbw import SymPoly, pbw_bracket, ue_gen, ue_monomial, ue_one
 from kw1.util import deglex_key, monomials_upto
 
@@ -83,6 +84,57 @@ def test_zp_reassembly_random(make_algebra):
 
         a = UEElement(alg, terms)
         assert zp_coordinates(a, alg).reassemble() == a
+
+
+def _worklist_coordinates(a, alg):
+    """zp coordinates by a worklist over the whole element, rewriting each
+    term's leftmost p-block x_i^p = xi_i + x_i^[p] until no exponent is >= p;
+    {reduced monomial: {xi exponents: residue}}."""
+    from kw1.pbw import _mono_times_letter, _mono_times_mono
+
+    n, p = alg.n, alg.p
+    work = [((0,) * n, mono, c) for mono, c in a.terms.items()]
+    out = {}
+    while work:
+        xi, mono, coeff = work.pop()
+        hot = next((i for i in range(n) if mono[i] >= p), None)
+        if hot is None:
+            bucket = out.setdefault(mono, {})
+            bucket[xi] = bucket.get(xi, 0) + coeff
+            continue
+        prefix = tuple(mono[k] if k < hot else 0 for k in range(n))
+        remainder = tuple(mono[k] - (p if k == hot else 0) if k >= hot else 0 for k in range(n))
+        work.append((
+            tuple(x + (k == hot) for k, x in enumerate(xi)),
+            tuple(x - (p if k == hot else 0) for k, x in enumerate(mono)),
+            coeff,
+        ))
+        for l, cl in enumerate(alg.restricted.vector(hot)):
+            if cl:
+                for m1, c1 in _mono_times_letter(alg, prefix, l).items():
+                    for m2, c2 in _mono_times_mono(alg, m1, remainder).items():
+                        work.append((xi, m2, coeff * cl * c1 * c2 % p))
+    out = {m: {xi: c % p for xi, c in b.items() if c % p} for m, b in out.items()}
+    return {m: b for m, b in out.items() if b}
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_zp_coordinates_match_whole_element_worklist(data):
+    # memoized per PBW monomial (sl2, gl2, remark:1:2) or single-term
+    # (heisenberg, abelian:2: every x^[p] = 0, so no memo at all)
+    from kw1.pbw import UEElement
+
+    name = data.draw(st.sampled_from(["sl2", "gl2", "remark:1:2", "heisenberg", "abelian:2"]))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    alg = _prepare(get_example(name), p)
+    mono = st.tuples(*[st.integers(0, 2 * p + 1)] * alg.n)
+    a = UEElement(alg, data.draw(st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=4)))
+    got = zp_coordinates(a, alg)
+    assert {m: poly.terms for m, poly in got.coordinates.items()} == _worklist_coordinates(a, alg)
+    if not any(any(alg.restricted.vector(i)) for i in range(alg.n)):
+        assert "zp-coordinates" not in alg._pbw_memo
+    assert got.reassemble() == a
 
 
 def test_center_basis_remark_golden(make_algebra):
@@ -286,7 +338,7 @@ def test_d_minus_1_slice_is_the_d_minus_1_center(monkeypatch):
     """One solve at D gives, by degree, the canonical basis at D-1."""
     ranked = []
 
-    def fake_rank(alg, elements, seed, min_ext=1):
+    def fake_rank(alg, elements, seed, min_ext=1, table=None):
         ranked.append(list(elements))
         return 0, prime_field(alg.p)
 
@@ -419,9 +471,49 @@ def test_round_one_products_match_full_double_loop(make_algebra):
                     want_seen.add(key)
                     want.append(prod)
         seen = set(keys)
-        got = center._new_products(gens, gens, seen, commuting_square=True)
+        table = center._ProductTable(alg, gens)
+        got = center._new_products(gens, gens, seen, table, commuting_square=True)
         assert len(want) > 0, name
         assert got == want and seen == want_seen, name
+
+
+@pytest.mark.parametrize("name,p", [("sl2", 5), ("gl2", 3)])
+def test_closures_form_each_product_and_coordinate_map_once(make_algebra, monkeypatch, name, p):
+    """Each factor multiset is multiplied, and each element's coordinates
+    computed, at most once per center slice; the D-1 closure repeats none
+    of the D closure's work."""
+    from kw1.pbw import UEElement
+
+    alg = make_algebra(name, p)
+    bound = center.default_degree_bound(alg)
+    elements = center._center_space(alg, bound)
+
+    def key(el):
+        return frozenset(el.terms.items())
+
+    # a product's label is the multiset of basis indices it multiplies
+    labels = {key(el): (k,) for k, el in enumerate(elements)}
+    multiplied, coordinated = [], []
+    real_mul, real_zp = UEElement.__mul__, center.zp_coordinates
+
+    def mul(a, b):
+        prod = real_mul(a, b)
+        label = tuple(sorted(labels[key(a)] + labels[key(b)]))
+        labels.setdefault(key(prod), label)
+        multiplied.append(label)
+        return prod
+
+    def zp(a, alg):
+        coordinated.append(key(a))
+        return real_zp(a, alg)
+
+    monkeypatch.setattr(center, "_center_space", lambda alg, bound: elements)
+    monkeypatch.setattr(UEElement, "__mul__", mul)
+    monkeypatch.setattr(center, "zp_coordinates", zp)
+    cb = center_basis_bounded(alg, bound, seed=0)
+    assert (cb.rank, cb.stabilized) == (p ** index_generic(alg, 3, 0), True)
+    assert multiplied and len(multiplied) == len(set(multiplied)), name
+    assert len(coordinated) == len(set(coordinated)), name
 
 
 def test_verdict_ffelem_multiplications_bounded(make_algebra, monkeypatch):

@@ -217,6 +217,26 @@ def test_cli_lemma1_needs_every_power_below_p(capsys, nvars, prime, gens):
     assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 1
 
 
+def test_cli_lemma1_refuses_before_the_next_power_table(capsys, monkeypatch):
+    # x1..x6 at p = 7: after five generators the table already holds 7^5
+    # products over 7^5 reduced monomials, past the byte cap at e = 1, so the
+    # input is refused before the sixth table (7^6 products) is formed
+    from kw1.pbw import SymPoly
+
+    formed = {"products": 0}
+    real_mul = SymPoly.__mul__
+
+    def mul(a, b):
+        formed["products"] += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(SymPoly, "__mul__", mul)
+    gens = ",".join(f"x{i}" for i in range(1, 7))
+    assert main(["lemma1", "--nvars", "6", "--prime", "7", "--gens", gens]) == 1
+    assert "bytes of specialized rank matrices" in capsys.readouterr().err
+    assert formed["products"] < 7**6
+
+
 def test_cli_examples_listing(capsys):
     assert main(["examples"]) == 0
     blob = json.loads(capsys.readouterr().out)
