@@ -453,12 +453,3 @@ def rank(rows, field) -> int:
     if field.e == 1:
         return rank_modp(to_modp_array(rows, field), field.p)
     return rank_coefficient_array(_coefficients(rows), field)
-
-
-def solve(rows, b, field: GF):
-    """Canonical particular solution of rows . x = b over F_p, or None.
-
-    The solution is a list of int residues.
-    """
-    x = solve_modp(to_modp_array(rows, field), to_modp_array([b], field)[0], field.p)
-    return None if x is None else [int(v) for v in x]

@@ -73,6 +73,19 @@ piece above the cap whose s is 1 while all ``ENDO_PROBE_TRIES`` probes
 leave it open, a seeded chance in the full split as well.
 ``split_simples`` called without ``above`` still splits every piece.
 
+A split with ``above >= 1`` of a whole module within ``BURNSIDE_DIM_CAP``
+reports no factors when all of them are absolutely 1-dimensional: its top
+1 is at most ``above``, and no piece is above the cap, so ``degraded`` is
+exact.  By Wedderburn, and since End of a simple module over F_q is a
+finite field, that holds exactly when A/rad A is commutative for the
+algebra A the generators span, that is when the two-sided ideal J
+generated by their commutators C is nilpotent.  J^k M is the chain
+N_0 = M, N_{k+1} = A C N_k (A C A N = A C N for a submodule N), which
+reaches 0 or stops falling.  Pieces are not tested: nearly every 6- and
+9-dimensional piece of a generic character fails.  The oracle floors
+``above`` at 1 and reads an empty report as a top of 1, exact since a
+nonzero module has a factor, so a top equal to a best of 1 reads exactly.
+
 The oracle also splits each distinct sampled character once per
 sampling field.  A split depends only on the character: its module is
 the regular representation of u_chi and its seed is derived from the
@@ -415,6 +428,31 @@ def _algebra_dimension(ops, mats, d):
     return _matrix_algebra(ops, mats, d).dim
 
 
+def _factors_all_linear(ops, mats, d):
+    """Whether every composition factor is absolutely 1-dimensional.
+
+    Whether N_0 = F^d, N_{k+1} = spin(C . N_k) for the commutators C of
+    the generators reaches 0 before it stops falling (module docstring).
+    It draws no random numbers, so a split it does not end is unchanged.
+    """
+    pairs = [(a, b) for i, a in enumerate(mats) for b in mats[i + 1 :]]
+    comms = [ops.add(ops.matmul(a, b), ops.scale(ops.matmul(b, a), -1)) for a, b in pairs]
+    if not comms:
+        return True
+    stacked = ops.vstack(comms)
+    # the images C w of the basis rows w of N_k are the rows of
+    # (stacked . W^T)^T cut to width d; W = I for N_0 = F^d
+    images, dim = ops.reshape(ops.transpose(stacked), d), d
+    while True:
+        state = _spin(ops, images, mats, d)
+        if state.dim == 0:
+            return True
+        if state.dim == dim:
+            return False
+        dim = state.dim
+        images = ops.reshape(ops.transpose(ops.matmul(stacked, ops.transpose(state.rows))), d)
+
+
 def _decide(ops, mats, d, rng):
     """The first decisive Norton attempt on a piece.
 
@@ -463,12 +501,17 @@ def split_simples(
     then lists only the factors found.  Its largest dimension is that of
     the full split when that is above ``above``, and at most ``above``
     otherwise; ``degraded`` is that of the full split (see the module
-    docstring).  ``above=None`` splits every piece.
+    docstring).  With ``above >= 1``, a module within the cap whose
+    factors are all absolutely 1-dimensional reports none at once: its
+    top 1 is at most ``above``.  ``above=None`` splits every piece.
     """
     if ops is None:
         ops = ops_for(module.field)
     elif ops.field != module.field:
         raise CoefficientFieldMismatch(f"backend over {ops.field!r} for a module over {module.field!r}")
+    if above is not None and above >= 1 and 1 < module.dimension <= BURNSIDE_DIM_CAP:
+        if _factors_all_linear(ops, module.mats, module.dimension):
+            return SplitReport((), (), False)
     rng = random.Random(derive_seed("meataxe", seed))
     dims = []
     factors = []
@@ -584,7 +627,9 @@ def max_irreducible_dim(
     is given ``above=best - 1``, so a top equal to ``best`` still reads
     exactly and a smaller one reads as different: the escalation decision
     is that of the full splits.  The F_{p^2} run starts from the F_p
-    best, since only a character beating it is used.
+    best, since only a character beating it is used.  ``above`` is at
+    least 1 and an empty report reads as a top of 1, exact since every
+    module split here is nonzero: the first character sets the witness.
     """
     if alg.p**alg.n > dim_cap:
         raise DimensionCap(alg.p**alg.n, dim_cap)
@@ -607,9 +652,10 @@ def max_irreducible_dim(
                 module,
                 seed=derive_seed(tag, seed, chi.render()),
                 ops=ops,
-                above=best - 1 if escalation_open else best,
+                above=max(best - 1 if escalation_open else best, 1),
             )
-            top = max(report.dims, default=0)
+            # a nonzero module has a factor, so an empty report means a top of 1
+            top = max(max(report.dims, default=0), 1)
             degraded = degraded or report.degraded
             tops.add(top)
             if top > best:

@@ -202,16 +202,6 @@ def test_dispatch_rank():
     f5 = prime_field(5)
     rows = [[f5.from_int(1), f5.from_int(2)], [f5.from_int(2), f5.from_int(4)]]
     assert linalg.rank(rows, f5) == 1
-    sol = linalg.solve(rows[:1], [f5.from_int(3)], f5)
-    assert sol is not None and int(sol[0]) == 3 and int(sol[1]) == 0
-
-
-def test_prime_field_solve_returns_int_residues():
-    f7 = prime_field(7)
-    rows = [[1, 2, 0], [0, 1, 3]]
-    sol = linalg.solve(rows, [4, 5], f7)
-    assert all(type(x) is int for x in sol)
-    assert sol == [1, 5, 0]
 
 
 # ---------------------------------------------------------------------------

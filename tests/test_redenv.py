@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -262,7 +263,9 @@ def test_burnside_divisibility_self_check(make_algebra, monkeypatch):
     module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 0, 0)))
     with pytest.raises(SelfCheckFailure, match="Burnside"):
         split_simples(module)
-    assert main(["oracle", "--example", "nonabelian2", "--prime", "3"]) == 3
+    # nonabelian2@3 counts only on characters with a top of 1, which the
+    # oracle certifies without splitting; sl2@3 has none of them
+    assert main(["oracle", "--example", "sl2", "--prime", "3"]) == 3
 
 
 def test_undecided_piece_draws_from_its_whole_matrix_algebra(make_algebra, capsys):
@@ -697,6 +700,48 @@ def test_pruning_still_splits_pieces_above_the_burnside_cap(make_algebra, monkey
     assert pruned == full
 
 
+def _full_top_is_one(module):
+    return max(split_simples(module, seed=0).dims) == 1
+
+
+def test_commutator_chain_decides_a_top_of_one(make_algebra, monkeypatch):
+    # every F_p character of the pruning pairs, and the F_4 characters of
+    # one escalated run: the chain is True exactly when the full split's
+    # top is 1.  Reading a chain that stops falling as nilpotent fails here
+    outcomes = set()
+    for name, p in PRUNING_PAIRS:
+        alg = make_algebra(name, p)
+        ops = ops_for(prime_field(p))
+        for values in product(range(p), repeat=alg.n):
+            module = regular_representation(reduced_algebra(alg, chi_of(alg, *values)))
+            linear = redenv._factors_all_linear(ops, module.mats, module.dimension)
+            assert linear == _full_top_is_one(module), (name, values)
+            outcomes.add(linear)
+    assert outcomes == {True, False}
+    # heisenberg@2 sampled at chi(z) = 0 only: every F_2 top is 1, below
+    # the generic 2, so the oracle escalates to its F_4 characters
+    modules = []
+    real_split, real_characters = redenv.split_simples, redenv._characters
+
+    def record(module, *args, **kwargs):
+        modules.append(module)
+        return real_split(module, *args, **kwargs)
+
+    monkeypatch.setattr(redenv, "split_simples", record)
+    monkeypatch.setattr(
+        redenv, "_characters", lambda alg, field, *args: [
+            c for c in real_characters(alg, field, *args) if field.e > 1 or not c.chi[2]
+        ]
+    )
+    est = max_irreducible_dim(make_algebra("heisenberg", 2), samples=10, seed=0)
+    assert est.escalated_sampling and est.m_est == 2
+    ext = [m for m in modules if m.field.e == 2]
+    ops = ops_for(ext[0].field)
+    linear = [redenv._factors_all_linear(ops, m.mats, m.dimension) for m in ext]
+    assert linear == [_full_top_is_one(m) for m in ext]
+    assert set(linear) == {True, False}
+
+
 def test_split_above_the_module_dimension_reports_no_factors(make_algebra):
     alg = make_algebra("nonabelian2", 3)
     module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 1)))
@@ -774,6 +819,15 @@ def test_oracle_over_distinct_characters_matches_splitting_every_sample(make_alg
     got = max_irreducible_dim(alg, samples=10, seed=0).as_dict()
     assert got["escalatedSampling"] and got["M"] == 2
     assert got == _oracle_splitting_every_sample(alg, 10, 0)
+
+
+def test_oracle_on_the_pruning_pairs_matches_splitting_every_sample(make_algebra):
+    # a best of 0 or 1 while escalation is open reads through the floor at 1
+    for name, p in PRUNING_PAIRS:
+        alg = make_algebra(name, p)
+        for seed in (0, 1):
+            got = max_irreducible_dim(alg, samples=10, seed=seed).as_dict()
+            assert got == _oracle_splitting_every_sample(alg, 10, seed), (name, p, seed)
 
 
 def test_oracle_splits_each_distinct_character_once(make_algebra, monkeypatch):
