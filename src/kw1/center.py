@@ -105,6 +105,8 @@ MONOMIAL_CAP = 20000
 MATRIX_BYTES_CAP = 1 << 30
 RANK_TRIALS = 3
 PRODUCT_ROUNDS = 3
+# random trials of the generic index, printed as ``indexTrials``
+INDEX_TRIALS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -472,15 +474,25 @@ class _CoordinateTerms:
         """
         p, e = field.p, field.e
         at = np.array([x.coeffs for x in point], dtype=np.int64).reshape(len(point), e)
-        # powers[a, i] = point[i]^a, then each monomial as a product of powers
-        powers = np.zeros((int(self.exponents.max(initial=0)) + 1,) + at.shape, dtype=np.int64)
-        powers[0, :, 0] = 1
-        for a in range(1, len(powers)):
-            powers[a] = _field_mul(powers[a - 1], at, field)
+        # powers[u, i] = point[i]^distinct[u] by square-and-multiply (bit k
+        # of the exponent multiplies in point[i]^(2^k)), then each monomial
+        # as a product of powers.  Only the exponents that occur are
+        # evaluated, with 2 (bits - 1) products: never more than the
+        # largest exponent, which a table of every power would take.
+        distinct, where = np.unique(self.exponents.ravel(), return_inverse=True)
+        where = where.reshape(self.exponents.shape)
+        powers = np.zeros((len(distinct),) + at.shape, dtype=np.int64)
+        powers[:, :, 0] = 1
+        powers[distinct & 1 == 1] = at
+        square = at
+        for k in range(1, int(distinct.max(initial=0)).bit_length()):
+            square = _field_mul(square, square, field)
+            bit = (distinct >> k) & 1 == 1
+            powers[bit] = _field_mul(powers[bit], square, field)
         vals = np.zeros((len(self.exponents), e), dtype=np.int64)
         vals[:, 0] = 1
         for i in range(at.shape[0]):
-            vals = _field_mul(vals, powers[self.exponents[:, i], i], field)
+            vals = _field_mul(vals, powers[where[:, i], i], field)
         if out is None:
             out = np.zeros(self.shape + (e,), dtype=np.int64)
         np.add.at(out, (self.row, self.col), vals[self.mono] * self.coef[:, None] % p)
@@ -866,8 +878,6 @@ def kw1_verdict(
     seed: int = 0,
     with_oracle: bool = False,
     samples: int = 10,
-    index_trials: int = 3,
-    dim_cap: int = 625,
     min_extension: int = 1,
 ) -> KW1Report:
     """Assemble the index, center rank, and bound comparison.
@@ -882,7 +892,7 @@ def kw1_verdict(
     n = alg.n
     p = alg.p
     bound = degree_bound if degree_bound is not None else default_degree_bound(alg)
-    ind = index_generic(alg, trials=index_trials, seed=seed)
+    ind = index_generic(alg, trials=INDEX_TRIALS, seed=seed)
     cb = center_basis_bounded(alg, bound, seed=seed, min_extension=min_extension)
     r, spec_field = cb.rank, cb.spec_field
     if r > p**ind:
@@ -926,12 +936,12 @@ def kw1_verdict(
             "t" if spec_field.e == 1 else render_poly_modp(spec_field.modulus)
         ),
         stabilized=cb.stabilized,
-        index_trials=index_trials,
+        index_trials=INDEX_TRIALS,
         notes=tuple(notes),
     )
     if with_oracle:
         from .redenv import max_irreducible_dim
 
-        est = max_irreducible_dim(alg, samples=samples, seed=seed, dim_cap=dim_cap)
+        est = max_irreducible_dim(alg, samples=samples, seed=seed)
         report.oracle_estimate = est.as_dict()
     return report

@@ -167,7 +167,7 @@ def _parse_primes(text):
         raise ParseError(f"bad prime list {text!r}") from None
 
 
-_TERM_RE = re.compile(r"^\s*(-?\d+)?\s*\*?\s*([a-zA-Z0-9^* ]*)\s*$")
+_TERM_RE = re.compile(r"^\s*(-?\d+)?\s*(\*)?\s*([a-zA-Z0-9^* ]*)\s*$")
 
 
 def _parse_poly(text, num_vars):
@@ -180,27 +180,24 @@ def _parse_poly(text, num_vars):
         match = _TERM_RE.match(raw)
         if not match:
             raise ParseError(f"cannot parse polynomial term {raw!r}")
-        coeff = int(match.group(1)) if match.group(1) else 1
+        coeff, star, body = match.groups()
+        factors = [f.strip() for f in body.split("*")] if body.strip() else []
+        # a '*' needs a factor on each side
+        if (star and not (coeff and factors)) or "" in factors:
+            raise ParseError(f"empty factor in polynomial term {raw!r}")
         exps = [0] * num_vars
-        body = match.group(2).strip()
-        if body:
-            for factor in body.split("*"):
-                factor = factor.strip()
-                if not factor:
-                    continue
-                if "^" in factor:
-                    var, power = factor.split("^")
-                    power = int(power)
-                else:
-                    var, power = factor, 1
-                if not var.startswith("x"):
-                    raise ParseError(f"unknown variable {var!r} (use x1..x{num_vars})")
-                idx = int(var[1:]) - 1
-                if not 0 <= idx < num_vars:
-                    raise ParseError(f"variable {var!r} out of range")
-                exps[idx] += power
+        for factor in factors:
+            var, caret, power = (part.strip() for part in factor.partition("^"))
+            if caret and not power.isdigit():
+                raise ParseError(f"bad exponent in polynomial term {raw!r}")
+            if not (var.startswith("x") and var[1:].isdigit()):
+                raise ParseError(f"unknown variable {var!r} (use x1..x{num_vars})")
+            idx = int(var[1:]) - 1
+            if not 0 <= idx < num_vars:
+                raise ParseError(f"variable {var!r} out of range")
+            exps[idx] += int(power) if caret else 1
         key = tuple(exps)
-        terms[key] = terms.get(key, 0) + coeff
+        terms[key] = terms.get(key, 0) + int(coeff or 1)
     return {k: v for k, v in terms.items() if v}
 
 

@@ -1,12 +1,21 @@
 """Vectorized univariate polynomial arithmetic over F_p.
 
 Coefficients are numpy int64 arrays, little endian, reduced mod p.
-Products go through numpy convolution.  A coefficient of a product sums
-at most k products of two residues, k the length of the shorter factor,
-so it is exact while k (p - 1)^2 < 2^63.  That bound is kept because the
-splitter, the only caller, runs only when p^n <= ``dim_cap`` (625 by
-default): p is at most ``dim_cap`` and k at most d + 1 for a module of
-dimension d <= ``dim_cap``, far inside it.
+This is the one F_p polynomial kernel: the MeatAxe factors minimal
+polynomials with it, and ``fields`` certifies defining polynomials and
+builds reduction tables with it, at every p inside
+``linalg.require_exact_prime``.
+
+Every operation is exact there.  Outside ``mul`` an entry holds at most
+one product of two residues before it is reduced, below (p - 1)^2 <
+2^63; ``deriv`` multiplies a residue by an exponent, a degree far below
+2^63 / p.  A coefficient of a product sums up to k such products, k the
+length of the shorter factor, so ``mul`` convolves the first factor in
+chunks of s coefficients with s (p - 1)^2 <= 2^63 - p, the bound
+``linalg.matmul_modp`` uses: s >= 1 while p (p - 1) < 2^63.  The chunk
+size follows from p alone.  At the small p the MeatAxe sees
+(p^n <= ``redenv.DIM_CAP``) s is over 10^13, so a product is one
+convolution; at the top of the envelope s = 1.
 
 Used on the hot path of module splitting, where minimal polynomials of
 dimension-sized degree must be factored quickly; the factor iterator is
@@ -32,10 +41,23 @@ def from_ints(coeffs, p) -> np.ndarray:
     return trim(np.array([c % p for c in coeffs], dtype=np.int64))
 
 
+def sub(f, g, p):
+    n = max(f.size, g.size)
+    return trim((np.pad(f, (0, n - f.size)) - np.pad(g, (0, n - g.size))) % p)
+
+
 def mul(f, g, p):
     if f.size == 0 or g.size == 0:
         return np.zeros(0, dtype=np.int64)
-    return np.convolve(f, g) % p
+    step = (2**63 - p) // (p - 1) ** 2
+    if f.size <= step:
+        return np.convolve(f, g) % p
+    out = np.zeros(f.size + g.size - 1, dtype=np.int64)
+    for lo in range(0, f.size, step):
+        part = np.convolve(f[lo:lo + step], g) % p
+        out[lo:lo + part.size] += part
+        out[lo:lo + part.size] %= p
+    return out
 
 
 def divmod_(f, g, p):
@@ -161,11 +183,7 @@ def iter_irreducible_factors(f, p, rng: random.Random):
     while rest.size - 1 >= 2 * (d + 1):
         d += 1
         h = powmod(h, p, rest, p)
-        diff = h.copy()
-        if diff.size < 2:
-            diff = np.pad(diff, (0, 2 - diff.size))
-        diff[1] = (diff[1] - 1) % p
-        g = gcd(trim(diff), rest, p)
+        g = gcd(sub(h, x, p), rest, p)
         if g.size > 1:
             batch = _equal_degree_all(g, d, p, rng)
             batch.sort(key=lambda poly: tuple(int(c) for c in poly))

@@ -11,7 +11,11 @@ residue) remains for dense matrix and character code.
 
 Defining polynomials are either supplied or drawn from a seeded RNG and
 certified irreducible by the Frobenius gcd criterion, so the triple
-(p, e, seed) always names the same field.  No floating point anywhere.
+(p, e, seed) always names the same field.  The certificate and the
+reduction table of t^e .. t^(2e-2) are computed with ``fastpoly``, the
+one F_p polynomial kernel, which is exact at every p inside
+``linalg.require_exact_prime``; inverses in F_{p^e} are Fermat powers.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ import random
 from fractions import Fraction
 from numbers import Integral
 
+import numpy as np
+
+from . import fastpoly
 from .errors import CoefficientFieldMismatch, DenominatorDivisibleByP
 from .util import derive_seed
 
@@ -58,94 +65,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# dense polynomials over F_p as int tuples (little-endian), used only for
-# constructing and certifying defining polynomials
-# ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _ptrim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, da - db + 1)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[-1] == 0:
-            a.pop()
-            continue
-        coef = (a[-1] * inv_lead) % p
-        q[da - db] = coef
-        for j in range(db + 1):
-            a[da - db + j] = (a[da - db + j] - coef * b[j]) % p
-        a.pop()
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _ppowmod(base, exp, mod, p):
-    result = (1,)
-    base = _pmod(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        exp >>= 1
-    return result
-
-
-def _pinvmod(a, mod, p):
-    # extended Euclid; a must be coprime to mod
-    r0, r1 = _pmod(a, mod, p), mod
-    s0, s1 = (1,), ()
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible")
-    inv = pow(r0[0], -1, p)
-    return _ptrim(tuple((c * inv) % p for c in s0))
-
-
 def _prime_divisors(n):
     out = []
     d = 2
@@ -167,14 +86,15 @@ def is_irreducible_modp(f, p) -> bool:
         return False
     if e == 1:
         return True
-    x = (0, 1)
+    f = np.array(f, dtype=np.int64)
+    x = np.array([0, 1], dtype=np.int64)
     # x^(p^e) == x mod f
-    if _ppowmod(x, p**e, f, p) != _pmod(x, f, p):
+    if not np.array_equal(fastpoly.powmod(x, p**e, f, p), x):
         return False
     # gcd(x^(p^(e/q)) - x, f) == 1 for every prime q | e
     for q in _prime_divisors(e):
-        h = _psub(_ppowmod(x, p ** (e // q), f, p), x, p)
-        if len(_pgcd(h, f, p)) != 1:
+        h = fastpoly.sub(fastpoly.powmod(x, p ** (e // q), f, p), x, p)
+        if fastpoly.gcd(h, f, p).size != 1:
             return False
     return True
 
@@ -236,12 +156,12 @@ class GF:
                 raise ValueError("modulus is not irreducible")
             self.modulus = modulus
             # reduction table: t^(e+k) mod modulus for k = 0..e-2
-            red = []
-            cur = _pmod((0,) * e + (1,), modulus, p)
-            for _ in range(e - 1):
-                red.append(tuple(cur) + (0,) * (e - len(cur)))
-                cur = _pmod(_pmul(cur, (0, 1), p), modulus, p)
-            self._red = red
+            f = np.array(modulus, dtype=np.int64)
+            t = np.array([0, 1], dtype=np.int64)
+            self._red = [
+                tuple(int(c) for c in r) + (0,) * (e - r.size)
+                for r in (fastpoly.powmod(t, e + k, f, p) for k in range(e - 1))
+            ]
         self.zero = FFElem(self, (0,) * e)
         self.one = FFElem(self, (1,) + (0,) * (e - 1))
 
@@ -422,8 +342,8 @@ class FFElem:
             raise ZeroDivisionError("inverse of zero field element")
         if field.e == 1:
             return FFElem(field, (pow(self.coeffs[0], -1, field.p),))
-        inv = _pinvmod(_ptrim(self.coeffs), field.modulus, field.p)
-        return field.elem(inv)
+        # Fermat: the multiplicative group has order p^e - 1
+        return self ** (field.order - 2)
 
     def __truediv__(self, other):
         pair = self._pair(other)
@@ -475,7 +395,7 @@ class FFElem:
     def render(self, var="t") -> str:
         if self.field.e == 1:
             return str(self.coeffs[0])
-        body = render_poly_modp(_ptrim(self.coeffs), var)
+        body = render_poly_modp(self.coeffs, var)
         return body if "+" not in body and "*" not in body else f"({body})"
 
     def __repr__(self):

@@ -64,9 +64,11 @@ def require_exact_prime(p: int) -> None:
 
     Below the bound a residue times a residue, plus a residue, fits in
     int64, which is what ``_eliminate``, ``blocked_coefficients`` and
-    ``center._field_mul`` need; the matrix products of ``matops`` and
-    ``fastpoly`` need a factor of the inner dimension more, which their
-    small p leaves room for.
+    ``center._field_mul`` need.  ``matmul_modp`` and ``fastpoly.mul``
+    chunk their sums so that they are exact at every p below it, and
+    ``fastpoly`` builds the defining polynomials of F_{p^e} here.  The
+    matrix products of ``matops`` need a factor of the inner dimension
+    more, which the small p of the MeatAxe leaves room for.
     """
     if p * (p - 1) >= 2**63:
         raise PrimeOutsideInt64Range(p, LARGEST_EXACT_PRIME)

@@ -25,8 +25,8 @@ half reduces to zero carries the minimal polynomial in its right half.
 Every int64 product here sums k terms below (p - 1)^2, for an inner
 dimension k of at most the module dimension d (d + 1 for the Krylov
 echelon, d^2 for the Burnside one), so it is exact while k (p - 1)^2 < 2^63.  The splitter only
-runs when p^n <= ``dim_cap`` (625 by default), so p and d are at most
-``dim_cap`` and the bound holds with room to spare.
+runs when p^n <= ``redenv.DIM_CAP`` (625), so p and d are at most
+``DIM_CAP`` and the bound holds with room to spare.
 """
 
 from __future__ import annotations

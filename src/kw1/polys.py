@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .fields import GF, FFElem
+from .fields import GF, FFElem, _prime_divisors
 
 
 def ptrim(coeffs) -> tuple:
@@ -130,18 +130,7 @@ def pis_irreducible(f, field: GF) -> bool:
     x = (field.zero, field.one)
     if ppowmod(x, q**d, f, field) != pmod(x, f, field):
         return False
-    dd = d
-    primes = []
-    k = 2
-    while k * k <= dd:
-        if dd % k == 0:
-            primes.append(k)
-            while dd % k == 0:
-                dd //= k
-        k += 1
-    if dd > 1:
-        primes.append(dd)
-    for r in primes:
+    for r in _prime_divisors(d):
         h = psub(ppowmod(x, q ** (d // r), f, field), x, field)
         if pdeg(pgcd(h, f, field)) != 0:
             return False

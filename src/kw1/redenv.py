@@ -104,7 +104,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .center import zp_coordinates
+from .center import INDEX_TRIALS, zp_coordinates
 from .errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure, SplitBudgetExceeded
 from .fields import GF, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
@@ -114,6 +114,8 @@ from .util import deglex_key, derive_seed
 
 MAX_SPLIT_TRIES = 40
 BURNSIDE_DIM_CAP = 96
+# largest p^n for which a reduced enveloping algebra is built
+DIM_CAP = 625
 ENDO_PROBE_TRIES = 6
 KERNEL_SPIN_CAP = 4
 
@@ -131,15 +133,15 @@ class Character:
 class ReducedEnvelopingAlgebra:
     """u_chi(g): the p^n-dimensional quotient of U(g) at the character chi."""
 
-    def __init__(self, alg: ModularLieAlgebra, chi: Character, dim_cap: int = 625):
+    def __init__(self, alg: ModularLieAlgebra, chi: Character):
         if alg.restricted is None:
             raise ValueError("algebra carries no restricted structure")
         self.alg = alg
         self.chi = chi
         self.field = chi.chi[0].field if chi.chi else prime_field(alg.p)
         self.dimension = alg.p**alg.n
-        if self.dimension > dim_cap:
-            raise DimensionCap(self.dimension, dim_cap)
+        if self.dimension > DIM_CAP:
+            raise DimensionCap(self.dimension, DIM_CAP)
         self.monomials = sorted(
             product(range(alg.p), repeat=alg.n), key=deglex_key
         )
@@ -189,8 +191,8 @@ class ReducedEnvelopingAlgebra:
         return out
 
 
-def reduced_algebra(alg: ModularLieAlgebra, chi: Character, dim_cap: int = 625):
-    return ReducedEnvelopingAlgebra(alg, chi, dim_cap=dim_cap)
+def reduced_algebra(alg: ModularLieAlgebra, chi: Character):
+    return ReducedEnvelopingAlgebra(alg, chi)
 
 
 @dataclass
@@ -602,7 +604,6 @@ def max_irreducible_dim(
     alg: ModularLieAlgebra,
     samples: int = 10,
     seed: int = 0,
-    dim_cap: int = 625,
 ) -> OracleEstimate:
     """Maximum composition-factor dimension over sampled characters.
 
@@ -631,10 +632,10 @@ def max_irreducible_dim(
     least 1 and an empty report reads as a top of 1, exact since every
     module split here is nonzero: the first character sets the witness.
     """
-    if alg.p**alg.n > dim_cap:
-        raise DimensionCap(alg.p**alg.n, dim_cap)
+    if alg.p**alg.n > DIM_CAP:
+        raise DimensionCap(alg.p**alg.n, DIM_CAP)
     rng = random.Random(derive_seed("oracle", alg.signature(), seed))
-    ind = index_generic(alg, trials=3, seed=seed)
+    ind = index_generic(alg, trials=INDEX_TRIALS, seed=seed)
     expected = alg.p ** ((alg.n - ind) // 2)
 
     def run(field, tag, best, may_escalate):
@@ -644,7 +645,7 @@ def max_irreducible_dim(
         degraded = False
         # a repeat would split the same module with the same seed again
         for chi in dict.fromkeys(_characters(alg, field, samples, rng)):
-            u = reduced_algebra(alg, chi, dim_cap=dim_cap)
+            u = reduced_algebra(alg, chi)
             module = regular_representation(u)
             # while escalation is open, a top equal to best must read exactly
             escalation_open = may_escalate and len(tops) <= 1 and best < expected

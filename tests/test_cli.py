@@ -217,6 +217,20 @@ def test_cli_lemma1_needs_every_power_below_p(capsys, nvars, prime, gens):
     assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 1
 
 
+def test_cli_lemma1_with_a_large_exponent(capsys):
+    # the point coordinates are raised to the distinct exponents only; a
+    # table of every power up to x1^(99999999 // 5) ran out of memory
+    assert main(["lemma1", "--nvars", "2", "--prime", "5", "--gens", "x1^99999999"]) == 0
+    assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 5
+
+
+@pytest.mark.parametrize("gens", ["2*x1*", "*x1", "x1**x2", "x1^", "2*", "x1^2^3", "x"])
+def test_bad_polynomial_terms_are_input_errors(gens, capsys):
+    assert main(["lemma1", "--nvars", "2", "--prime", "5", "--gens", gens]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and repr(gens) in err
+
+
 def test_cli_lemma1_refuses_before_the_next_power_table(capsys, monkeypatch):
     # x1..x6 at p = 7: after five generators the table already holds 7^5
     # products over 7^5 reduced monomials, past the byte cap at e = 1, so the
@@ -289,6 +303,15 @@ def test_cli_oracle_dimension_cap_is_input_error(capsys):
     assert main(["oracle", "--example", "gl2", "--prime", "7"]) == 1
 
 
+def _checkout_env():
+    # a child interpreter imports kw1 from this checkout's src
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_cross_process_byte_determinism(tmp_path):
     import subprocess
     import sys
@@ -308,8 +331,8 @@ def test_cross_process_byte_determinism(tmp_path):
         "--seed",
         "0",
     ]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=_checkout_env())
+    second = subprocess.run(cmd, capture_output=True, text=True, env=_checkout_env())
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -317,15 +340,12 @@ def test_cross_process_byte_determinism(tmp_path):
 def test_package_runs_as_a_module_from_the_checkout():
     import subprocess
     import sys
-    from pathlib import Path
 
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "kw1", "examples"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_checkout_env(),
     )
     assert done.returncode == 0, done.stderr
     assert "remark:N:M" in done.stdout

@@ -101,11 +101,13 @@ def test_reduced_algebra_associativity_spot_check(make_algebra):
 
 
 def test_dimension_cap(make_algebra):
+    # exactly at the cap is allowed: p^n = 5^4 = 625
     alg = make_algebra("gl2", 5)
+    reduced_algebra(alg, chi_of(alg, 0, 0, 0, 0))
+    big = make_algebra("abelian:6", 3)
+    assert big.p**big.n > redenv.DIM_CAP
     with pytest.raises(DimensionCap):
-        reduced_algebra(alg, chi_of(alg, 0, 0, 0, 0), dim_cap=624)
-    # exactly at the cap is allowed
-    reduced_algebra(alg, chi_of(alg, 0, 0, 0, 0), dim_cap=625)
+        reduced_algebra(big, chi_of(big, 0, 0, 0, 0, 0, 0))
 
 
 def test_abelian_rank_one_local(make_algebra):
@@ -841,9 +843,9 @@ def test_oracle_splits_each_distinct_character_once(make_algebra, monkeypatch):
         sampled.append(chis)
         return chis
 
-    def reduced(alg, chi, dim_cap=625):
+    def reduced(alg, chi):
         built.append(chi)
-        return real_reduced(alg, chi, dim_cap=dim_cap)
+        return real_reduced(alg, chi)
 
     def split(*args, **kwargs):
         splits.append(1)
