@@ -13,7 +13,8 @@ xi-monomial, coefficient) once, as rows are added; at each point every
 distinct xi-monomial is evaluated once, as an F_p coefficient vector,
 and the terms are scatter-added into a (rows, cols, e) array that is
 ranked by the blocked F_p kernel of ``linalg``.  One routine does this
-for every rank (``_specialized_rank``).
+for every rank (``_specialized_rank``).  The oracle's u_chi is the same
+specialization at xi = chi^p (``redenv.regular_representation``).
 
 ``rank_over_frobenius_subring`` (``kw1 lemma1``) is the commutative
 model: the rank of A = F_p[x_1..x_n] over B . A^p.  Its generating set
@@ -411,18 +412,19 @@ class _CoordinateTerms:
     """Every term of a growing list of coordinate maps, in index arrays.
 
     Row r of the matrix is the r-th map given, column c the reduced
-    monomial ``columns[c]`` (numbered in the order first met), and the
-    entry the polynomial ``maps[r][columns[c]]``.  Term t adds
+    monomial ``columns[c]`` (the ``columns`` given first, then numbered
+    in the order first met), and the entry the polynomial
+    ``maps[r][columns[c]]``.  Term t adds
     ``coef[t] * xi^exponents[mono[t]]`` to entry (row[t], col[t]), so a
     specialization evaluates each distinct xi-monomial once and scatters
     the products.  ``extend`` gathers only the rows it is given, so a
     closure gathers each row once however many ranks it takes.
     """
 
-    def __init__(self, maps, num_vars: int):
+    def __init__(self, maps, num_vars: int, columns=()):
         self.num_vars = num_vars
-        self.columns: list = []
-        self._col_index: dict = {}
+        self.columns: list = list(columns)
+        self._col_index: dict = {m: c for c, m in enumerate(self.columns)}
         self._mono_ids: dict = {}
         self.rows = 0
         self.row = self.col = self.mono = np.zeros(0, dtype=np.intp)
@@ -798,16 +800,27 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
     rows and columns from below: ``_check_rank_budget`` refuses an
     over-budget input after the table that first exceeds it (at e = 1),
     before the next one, p times larger, is formed.
+
+    The xi-exponents a // p of the coordinates are int64 in
+    ``_CoordinateTerms``, and so is their sum.  The product of every
+    g_j^(p-1) has the largest total degree, (p - 1) sum_j deg g_j, so the
+    total xi-degree of a coordinate term is at most that over p; an input
+    where this exceeds 2^63 - 1 raises ``ValueError`` before any product
+    is formed.
     """
     linalg.require_exact_prime(p)
     field = prime_field(p)
+    gens = [g if isinstance(g, SymPoly) else SymPoly(field, num_vars, g) for g in b_generators]
+    gens = [g for g in gens if not g.is_zero()]
+    xi_degree = (p - 1) * sum(max(sum(m) for m in g.terms) for g in gens) // p
+    if xi_degree >= 2**63:
+        raise ValueError(
+            f"the coordinates over the p-th powers reach xi-degree {xi_degree}, above 2^63 - 1"
+        )
     one = SymPoly.one(field, num_vars)
     products = {frozenset(one.terms.items()): one}
     columns = {(0,) * num_vars}
-    for g in b_generators:
-        g = g if isinstance(g, SymPoly) else SymPoly(field, num_vars, g)
-        if g.is_zero():
-            continue
+    for g in gens:
         powers = [one]
         for _ in range(p - 1):
             powers.append(powers[-1] * g)

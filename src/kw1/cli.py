@@ -16,10 +16,11 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 from .center import (
     center_basis_bounded,
+    default_degree_bound,
     kw1_verdict,
     rank_over_frobenius_subring,
 )
@@ -37,9 +38,8 @@ from .fields import is_prime
 from .liealg import base_change_mod_p, index_generic, with_p_map
 from .pbw import load_memo, save_memo
 from .redenv import max_irreducible_dim
-from .registry import builtin_examples, get_example, parse_input, render_document
-from .reports import render, to_json
-from .util import derive_seed
+from .registry import builtin_examples, get_example, parse_input
+from .reports import render
 
 _INPUT_ERRORS = (
     ParseError,
@@ -332,11 +332,7 @@ def _dispatch(args) -> int:
     if args.command == "center":
         presentation = _load_presentation(args)
         alg = _prepare(presentation, args.prime)
-        bound = args.degree_bound
-        if bound is None:
-            from .center import default_degree_bound
-
-            bound = default_degree_bound(alg)
+        bound = args.degree_bound if args.degree_bound is not None else default_degree_bound(alg)
         cb = center_basis_bounded(alg, bound, seed=args.seed)
         lines = [
             f"# center of {alg.name} mod {alg.p}, degree <= {bound}, "
@@ -349,11 +345,7 @@ def _dispatch(args) -> int:
     if args.command == "rank":
         presentation = _load_presentation(args)
         alg = _prepare(presentation, args.prime)
-        bound = args.degree_bound
-        if bound is None:
-            from .center import default_degree_bound
-
-            bound = default_degree_bound(alg)
+        bound = args.degree_bound if args.degree_bound is not None else default_degree_bound(alg)
         cb = center_basis_bounded(alg, bound, seed=args.seed)
         _emit(
             _json_line(

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .errors import DenominatorDivisibleByP, NotRestrictable, SelfCheckFailure
+from .errors import NotRestrictable, SelfCheckFailure
 from .fields import QQ, prime_field, galois_field, reduce_sparse
 from .util import derive_seed, sz_extension_degree
 

@@ -4,11 +4,12 @@ Two row reductions:
 
 * ``_eliminate``: numpy int64 matrices reduced mod p, with vectorized
   row operations.  It is the hot path for center computations, and
-  every rank over F_{p^e} goes through it too: ``blocked_coefficients``
-  embeds each F_{p^e} entry as its e x e multiplication matrix over F_p
+  every rank over F_{p^e} goes through it too: its blocked form embeds
+  each F_{p^e} entry as its e x e multiplication matrix over F_p
   (``rank_coefficient_array`` takes the entries straight as a
   (rows, cols, e) int64 array; ``blocked_form`` lets a caller write them
-  into block column 0 directly, and ``rank_blocked`` ranks the result).
+  into block column 0 directly, and ``rank_blocked`` fills the other
+  block columns and ranks the result).
   Solves are over F_p only.
 * ``rref_ff``: one list RREF for scalars with field arithmetic and
   ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
@@ -63,7 +64,7 @@ def require_exact_prime(p: int) -> None:
     """Raise ``PrimeOutsideInt64Range`` unless p (p - 1) < 2^63.
 
     Below the bound a residue times a residue, plus a residue, fits in
-    int64, which is what ``_eliminate``, ``blocked_coefficients`` and
+    int64, which is what ``_eliminate``, ``_fill_blocks`` and
     ``center._field_mul`` need.  ``matmul_modp`` and ``fastpoly.mul``
     chunk their sums so that they are exact at every p below it, and
     ``fastpoly`` builds the defining polynomials of F_{p^e} here.  The
@@ -387,7 +388,18 @@ def blocked_form(nrows: int, ncols: int, field: GF):
 
 
 def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
-    """Block columns 1 .. e-1 of a blocked form from its block column 0."""
+    """Block columns 1 .. e-1 of a blocked form from its block column 0.
+
+    The blocked form is the F_p form of a matrix over F_{p^e}, by the
+    regular representation: entry a becomes the e x e block of
+    multiplication by a, whose entry [i][j] is coefficient i of a * t^j
+    (as in ``GF.mul_matrix``).  Block column 0 holds the coefficients of
+    a; block column j is block column j - 1 times t, a shift folded
+    through the reduction table, written straight into the final layout
+    one (rows, cols) slice at a time, so no temporary is allocated.
+    int64: each entry is one residue plus a product of two, below
+    p (p - 1).
+    """
     p, e = field.p, field.e
     # a view: blocks[r, i, c, j] is big[r * e + i, c * e + j]
     blocks = big.reshape(big.shape[0] // e, e, big.shape[1] // e, e)
@@ -401,23 +413,6 @@ def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
                 out += blocks[:, i - 1, :, j - 1]
             out %= p
     return big
-
-
-def blocked_coefficients(coeffs: np.ndarray, field: GF) -> np.ndarray:
-    """F_p form of a matrix over F_{p^e}, by the regular representation.
-
-    ``coeffs`` is the (rows, cols, e) int64 array of entry coefficients,
-    reduced mod p.  Entry a becomes the e x e block of multiplication by a,
-    whose entry [i][j] is coefficient i of a * t^j (as in
-    ``GF.mul_matrix``).  Block column 0 is ``coeffs``; block column j is
-    block column j - 1 times t, a shift folded through the reduction
-    table, written straight into the final layout one (rows, cols) slice
-    at a time, so no temporary is allocated.  int64: each entry is one
-    residue plus a product of two, below p (p - 1).
-    """
-    big, first = blocked_form(coeffs.shape[0], coeffs.shape[1], field)
-    first[...] = coeffs
-    return _fill_blocks(big, field)
 
 
 def rank_blocked(big: np.ndarray, field: GF) -> int:

@@ -393,12 +393,6 @@ class SymPoly:
     def one(cls, field, n):
         return cls.monomial(field, n, (0,) * n)
 
-    @property
-    def total_degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(m) for m in self.terms)
-
     def is_zero(self):
         return not self.terms
 
@@ -450,32 +444,20 @@ class SymPoly:
         return hash(frozenset(self.terms.items()))
 
     def evaluate(self, point):
-        """Value at a point: F_{p^e} elements, or scalars of this field.
+        """Value at a point of ``FFElem`` coordinates, in the point's field.
 
-        At ``FFElem`` coordinates the value is an element of the point's
-        field, also for a constant or zero polynomial.  At int residues
-        (or Fractions over QQ) it is a scalar of ``self.field``.
+        Term by term in Python, the reference for the vectorized
+        ``center._CoordinateTerms.values``.  The value is an element of
+        the point's field, also for a constant or zero polynomial.
         """
-        if point and isinstance(point[0], FFElem):
-            field = point[0].field
-            total = None
-            for m, c in self.terms.items():
-                v = c
-                for i, a in enumerate(m):
-                    for _ in range(a):
-                        v = v * point[i]
-                total = v if total is None else total + v
-            if total is None:
-                return field.zero
-            return total if isinstance(total, FFElem) else field.from_int(total)
-        total = 0
+        field = point[0].field
+        total = field.zero
         for m, c in self.terms.items():
+            v = field.from_int(c)
             for x, a in zip(point, m):
-                if a:
-                    c = c * x**a
-            total += c
-        p = self.field.residue_modulus
-        return total % p if p else self.field.scalar(total)
+                v = v * x**a
+            total = total + v
+        return total
 
     def render(self, labels) -> str:
         return render_terms(self.terms, labels)

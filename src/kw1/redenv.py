@@ -1,10 +1,14 @@
 """Independent oracle for the largest irreducible-module dimension.
 
 Reduced enveloping algebras u_chi(g) have dimension p^n, with basis the
-reduced PBW monomials; multiplication straightens and then rewrites
-x_i^p as x_i^[p] + chi_i^p.  Splitting the left regular representation
-into composition factors bounds the largest simple dimension from
-below, and for generic chi attains it.
+reduced PBW monomials.  u_chi = U(g) (x)_{Z_p} F is the fibre of U(g)
+at the point xi = chi^p of Spec Z_p, so it is the verdict's
+specialization at that point: the zp coordinates of each x_i x^m
+(straighten, then rewrite x_i^p as xi_i + x_i^[p]) are gathered once
+per algebra, independent of chi, and one ``_CoordinateTerms.values``
+call at xi_i = chi_i^p gives every generator's matrix.  Splitting the
+left regular representation into composition factors bounds the
+largest simple dimension from below, and for generic chi attains it.
 
 The splitter is a MeatAxe: pick a random algebra element, factor the
 minimal polynomial of a random vector under it, spin kernel vectors of
@@ -104,9 +108,11 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .center import INDEX_TRIALS, zp_coordinates
+import numpy as np
+
+from .center import INDEX_TRIALS, _CoordinateTerms, zp_coordinates
 from .errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure, SplitBudgetExceeded
-from .fields import GF, galois_field, prime_field
+from .fields import GF, FFElem, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
 from .matops import ops_for
 from .pbw import UEElement, _mono_times_mono
@@ -131,7 +137,13 @@ class Character:
 
 
 class ReducedEnvelopingAlgebra:
-    """u_chi(g): the p^n-dimensional quotient of U(g) at the character chi."""
+    """u_chi(g): the p^n-dimensional quotient of U(g) at the character chi.
+
+    u_chi = U(g) (x)_{Z_p} F is the fibre of U(g) at the point xi = chi^p
+    of Spec Z_p: its products are the zp coordinates of the straightened
+    products, specialized at xi_i = chi_i^p with the kernel the verdict
+    uses (``center._CoordinateTerms.values``).
+    """
 
     def __init__(self, alg: ModularLieAlgebra, chi: Character):
         if alg.restricted is None:
@@ -146,49 +158,6 @@ class ReducedEnvelopingAlgebra:
             product(range(alg.p), repeat=alg.n), key=deglex_key
         )
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        # xi_i specializes to chi_i^p: an FFElem over F_{p^e}, e > 1, and
-        # an int residue over F_p, where the coordinates are evaluated in ints
-        if self.field.e > 1:
-            self._xi_point = tuple(c**alg.p for c in chi.chi)
-        else:
-            self._xi_point = tuple(pow(self.field.scalar(c), alg.p, alg.p) for c in chi.chi)
-        self._memo = {}
-
-    def _symbolic_left_action(self, i, mono):
-        """chi-independent coordinates of x_i . x^mono, cached on the algebra."""
-        cache = self.alg._pbw_memo.setdefault("redenv-left", {})
-        key = (i, mono)
-        hit = cache.get(key)
-        if hit is None:
-            gen_mono = tuple(1 if k == i else 0 for k in range(self.alg.n))
-            elem = UEElement._reduced(self.alg, _mono_times_mono(self.alg, gen_mono, mono))
-            hit = zp_coordinates(elem, self.alg).coordinates
-            cache[key] = hit
-        return hit
-
-    def _at_chi(self, coords):
-        """Specialize zp coordinates at chi; drops the coordinates that vanish."""
-        out = {}
-        for m, poly in coords.items():
-            val = poly.evaluate(self._xi_point)
-            if val:
-                out[m] = val
-        return out
-
-    def left_action_column(self, i, mono):
-        """Coordinates of x_i . x^mono in the reduced basis at this chi."""
-        return self._at_chi(self._symbolic_left_action(i, mono))
-
-    def multiply(self, m1, m2):
-        """Product of basis monomials as a sparse map, straighten then reduce."""
-        key = (m1, m2)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        elem = UEElement._reduced(self.alg, _mono_times_mono(self.alg, m1, m2))
-        out = self._at_chi(zp_coordinates(elem, self.alg).coordinates)
-        self._memo[key] = out
-        return out
 
 
 def reduced_algebra(alg: ModularLieAlgebra, chi: Character):
@@ -204,27 +173,47 @@ class AlgebraModule:
     mats: list
 
 
-def regular_representation(u: ReducedEnvelopingAlgebra) -> AlgebraModule:
-    """Left regular action of the generators on the reduced monomial basis."""
-    import numpy as np
+def _left_action_terms(u: ReducedEnvelopingAlgebra) -> _CoordinateTerms:
+    """chi-independent zp coordinates of every x_i . x^m, gathered once per algebra.
 
-    d = u.dimension
-    mats = []
-    prime = u.field.e == 1
-    for i in range(u.alg.n):
-        if prime:
-            mat = np.zeros((d, d), dtype=np.int64)
-            for col, mono in enumerate(u.monomials):
-                for m2, c in u.left_action_column(i, mono).items():
-                    mat[u.index[m2], col] = int(c)
-            mats.append(mat)
-        else:
-            rows = [[u.field.zero] * d for _ in range(d)]
-            for col, mono in enumerate(u.monomials):
-                for m2, c in u.left_action_column(i, mono).items():
-                    rows[u.index[m2]][col] = c
-            mats.append(rows)
-    return AlgebraModule(dimension=d, field=u.field, mats=mats)
+    Row i p^n + k is x_i . x^m for m = ``u.monomials[k]``, and column k
+    is that monomial too, so a specialization needs no reordering.
+    """
+    alg = u.alg
+    terms = alg._pbw_memo.get("redenv-left")
+    if terms is None:
+        maps = []
+        for i in range(alg.n):
+            gen_mono = tuple(1 if k == i else 0 for k in range(alg.n))
+            for mono in u.monomials:
+                elem = UEElement._reduced(alg, _mono_times_mono(alg, gen_mono, mono))
+                maps.append(zp_coordinates(elem, alg).coordinates)
+        terms = alg._pbw_memo["redenv-left"] = _CoordinateTerms(maps, alg.n, columns=u.monomials)
+    return terms
+
+
+def regular_representation(u: ReducedEnvelopingAlgebra) -> AlgebraModule:
+    """Left regular action of the generators on the reduced monomial basis.
+
+    One specialization of the gathered left actions at xi_i = chi_i^p
+    gives every generator's matrix: int64 residues over F_p, and the
+    ``FFElem`` rows of the extension backend over F_{p^e}, where every
+    zero entry is the field's own ``zero``.
+    """
+    d, e, field = u.dimension, u.field.e, u.field
+    xi = [c**u.alg.p for c in u.chi.chi]
+    values = _left_action_terms(u).values(xi, field)
+    # values[i p^n + col, row] is entry (row, col) of x_i's matrix
+    blocks = values.reshape(u.alg.n, d, d, e).transpose(0, 2, 1, 3)
+    if e == 1:
+        mats = [np.ascontiguousarray(block[..., 0]) for block in blocks]
+    else:
+        zero = field.zero
+        mats = [
+            [[FFElem(field, tuple(c)) if any(c) else zero for c in row] for row in block.tolist()]
+            for block in blocks
+        ]
+    return AlgebraModule(dimension=d, field=field, mats=mats)
 
 
 # ---------------------------------------------------------------------------

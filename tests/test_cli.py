@@ -224,6 +224,16 @@ def test_cli_lemma1_with_a_large_exponent(capsys):
     assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 5
 
 
+def test_cli_lemma1_xi_degree_bound(capsys):
+    # x1^N at p = 5 reaches xi-degree 4 N // 5: about 8 * 10^18 fits in
+    # int64 although N does not; 8 * 10^22 is refused as an input error
+    assert main(["lemma1", "--nvars", "2", "--prime", "5", "--gens", "x1^9999999999999999999"]) == 0
+    assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 5
+    assert main(["lemma1", "--nvars", "2", "--prime", "5", "--gens", "x1^99999999999999999999999"]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "xi-degree 79999999999999999999999" in err
+
+
 @pytest.mark.parametrize("gens", ["2*x1*", "*x1", "x1**x2", "x1^", "2*", "x1^2^3", "x"])
 def test_bad_polynomial_terms_are_input_errors(gens, capsys):
     assert main(["lemma1", "--nvars", "2", "--prime", "5", "--gens", gens]) == 1

@@ -123,7 +123,9 @@ def test_blocked_matrix_blocks_are_mul_matrices():
     for p, e in ((3, 2), (5, 3), (2, 4), (2, 5)):
         field = galois_field(p, e)
         for a in _ext_matrices(field, rng):
-            big = linalg.blocked_coefficients(linalg._coefficients(a), field)
+            big, first = linalg.blocked_form(len(a), len(a[0]), field)
+            first[...] = linalg._coefficients(a)
+            linalg._fill_blocks(big, field)
             assert big.shape == (len(a) * e, len(a[0]) * e)
             for i, row in enumerate(a):
                 for j, x in enumerate(row):
@@ -149,7 +151,9 @@ def test_blocked_rank_peak_stays_near_the_budgeted_bytes():
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * rows * cols * e * (e + 1), e
         corner = coeffs[:6, :5]
-        big = linalg.blocked_coefficients(corner, field)
+        big, first = linalg.blocked_form(*corner.shape[:2], field)
+        first[...] = corner
+        linalg._fill_blocks(big, field)
         for i, row in enumerate(corner):
             for j, x in enumerate(row):
                 block = big[i * e:(i + 1) * e, j * e:(j + 1) * e]

@@ -167,7 +167,7 @@ def test_sym_poly_algebra():
     a = SymPoly.monomial(f5, 2, (1, 0)) + SymPoly.monomial(f5, 2, (0, 1))
     sq = a * a
     assert sq.terms[(1, 1)] == f5.from_int(2)
-    assert (a**3).total_degree == 3
+    assert max(sum(m) for m in (a**3).terms) == 3
     assert SymPoly.zero(f5, 2).is_zero()
 
 

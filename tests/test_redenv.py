@@ -5,11 +5,12 @@ from itertools import product
 import numpy as np
 import pytest
 
-from kw1 import linalg, matops, redenv
+from kw1 import center, linalg, matops, redenv
 from kw1.cli import main
 from kw1.errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure
 from kw1.fields import galois_field, prime_field
 from kw1.matops import ops_for
+from kw1.pbw import ue_gen, ue_monomial
 from kw1.redenv import (
     AlgebraModule,
     Character,
@@ -75,29 +76,26 @@ def test_sl2_regular_rep_relations(make_algebra):
     check_bracket_relations(alg, module)
 
 
-def test_reduced_algebra_associativity_spot_check(make_algebra):
+def test_regular_representation_columns_are_specialized_coordinates(make_algebra):
+    # column x^m of x_i's matrix is the zp coordinate vector of x_i . x^m,
+    # straightened in U(g), at xi = chi^p: the reference evaluates each
+    # coordinate term by term with SymPoly.evaluate, over F_3 and F_9
     alg = make_algebra("sl2", 3)
-    chi = chi_of(alg, 1, 0, 1)
-    u = reduced_algebra(alg, chi)
-    import random
-
     rng = random.Random(0)
-    monos = u.monomials
-    for _ in range(25):
-        a, b, c = (monos[rng.randrange(len(monos))] for _ in range(3))
-        ab = u.multiply(a, b)
-        bc = u.multiply(b, c)
-        left = {}
-        for m, coeff in ab.items():
-            for m2, c2 in u.multiply(m, c).items():
-                left[m2] = left.get(m2, u.field.zero) + coeff * c2
-        right = {}
-        for m, coeff in bc.items():
-            for m2, c2 in u.multiply(a, m).items():
-                right[m2] = right.get(m2, u.field.zero) + coeff * c2
-        assert {k: v for k, v in left.items() if v} == {
-            k: v for k, v in right.items() if v
-        }
+    for field in (prime_field(3), galois_field(3, 2, seed=1)):
+        chi = Character(tuple(field.random_nonzero(rng) for _ in range(alg.n)))
+        u = reduced_algebra(alg, chi)
+        module = regular_representation(u)
+        xi = [c**alg.p for c in chi.chi]
+        for i in range(alg.n):
+            for col, mono in enumerate(u.monomials):
+                elem = ue_gen(alg, i) * ue_monomial(alg, mono)
+                coords = center.zp_coordinates(elem, alg).coordinates
+                want = [coords[m].evaluate(xi) if m in coords else field.zero for m in u.monomials]
+                got = [module.mats[i][row][col] for row in range(u.dimension)]
+                if field.e == 1:
+                    got = [field.from_int(int(c)) for c in got]
+                assert got == want, (field, i, mono)
 
 
 def test_dimension_cap(make_algebra):
@@ -339,15 +337,38 @@ def test_prime_ops_rejects_extension_fields():
 
 def test_prime_character_coordinates_are_int_residues(make_algebra):
     alg = make_algebra("sl2", 3)
-    u = reduced_algebra(alg, chi_of(alg, 1, 2, 0))
-    for i in range(alg.n):
-        for mono in u.monomials:
-            for c in u.left_action_column(i, mono).values():
-                assert type(c) is int and 1 <= c < alg.p
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 2, 0)))
+    for a in module.mats:
+        assert a.dtype == np.int64 and a.any()
+        assert ((0 <= a) & (a < alg.p)).all()
     ext = galois_field(3, 2)
-    v = reduced_algebra(alg, chi_of(alg, 1, 2, 0, field=ext))
-    for c in v.left_action_column(1, u.monomials[5]).values():
-        assert c.field is ext
+    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 2, 0, field=ext)))
+    for a in module.mats:
+        assert all(c.field is ext for row in a for c in row)
+
+
+def test_left_actions_are_straightened_once_per_algebra(make_algebra, monkeypatch):
+    # the zp coordinates of the n p^n products x_i . x^m are gathered once
+    # per algebra, however many characters and fields the oracle samples
+    calls = []
+    real = redenv.zp_coordinates
+
+    def counted(elem, alg):
+        calls.append(elem)
+        return real(elem, alg)
+
+    monkeypatch.setattr(redenv, "zp_coordinates", counted)
+    for samples in (2, 10):
+        calls.clear()
+        alg = make_algebra("sl2", 3)
+        max_irreducible_dim(alg, samples=samples, seed=0)
+        assert len(calls) == alg.n * alg.p**alg.n
+    # an index understated to 0 escalates abelian:2 at p = 2 to F_4
+    monkeypatch.setattr(redenv, "index_generic", lambda alg, trials, seed: 0)
+    calls.clear()
+    alg = make_algebra("abelian:2", 2)
+    assert max_irreducible_dim(alg, samples=2, seed=0).escalated_sampling
+    assert len(calls) == alg.n * alg.p**alg.n
 
 
 # ---------------------------------------------------------------------------
