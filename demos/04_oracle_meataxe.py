@@ -15,7 +15,6 @@ from kw1 import (
     base_change_mod_p,
     get_example,
     max_irreducible_dim,
-    reduced_algebra,
     regular_representation,
     split_simples,
     with_p_map,
@@ -29,15 +28,14 @@ print("== Heisenberg at p = 3 ==")
 for chi_values, label in (((0, 0, 0), "chi = 0 (Engel: all factors trivial)"),
                           ((0, 0, 1), "chi(z) = 1 (all factors dimension 3)")):
     chi = Character(tuple(f3.from_int(v) for v in chi_values))
-    u = reduced_algebra(heis, chi)
-    report = split_simples(regular_representation(u), seed=0)
+    report = split_simples(regular_representation(heis, chi), seed=0)
     print(f"  {label}: dims {report.dims}")
 
 print()
 print("== sl2 at p = 3, the Artin-Schreier character ==")
 sl2 = with_p_map(base_change_mod_p(get_example("sl2"), 3))
 chi = Character((f3.one, f3.zero, f3.zero))
-report = split_simples(regular_representation(reduced_algebra(sl2, chi)), seed=0)
+report = split_simples(regular_representation(sl2, chi), seed=0)
 print("  dims:", report.dims)
 print("  working fields:", sorted({order for _d, order in report.factors}))
 print("  degraded:", report.degraded)

@@ -45,7 +45,6 @@ from .center import (
 from .redenv import (
     Character,
     max_irreducible_dim,
-    reduced_algebra,
     regular_representation,
     split_simples,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "zp_coordinates",
     "Character",
     "max_irreducible_dim",
-    "reduced_algebra",
     "regular_representation",
     "split_simples",
     "builtin_examples",

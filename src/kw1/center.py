@@ -3,47 +3,53 @@
 The enveloping algebra of a restricted Lie algebra is a free module of
 rank p^n over the central subalgebra generated by xi_i = x_i^p - x_i^[p];
 ``zp_coordinates`` computes coordinates in that module by repeatedly
-left-factoring p-th powers out of PBW monomials.  Ranks of submodules
-over the fraction field of the p-center are obtained by specializing
-the formal xi variables at random points of a large enough extension
-(three tries, maximum rank), so every reported rank is an attained
-lower bound that equals the true rank with Schwartz-Zippel confidence.
-The coordinate terms are gathered into index arrays (row, column,
-xi-monomial, coefficient) once, as rows are added; at each point every
-distinct xi-monomial is evaluated once, as an F_p coefficient vector,
-and the terms are scatter-added into a (rows, cols, e) array that is
-ranked by the blocked F_p kernel of ``linalg``.  One routine does this
-for every rank (``_specialized_rank``).  The oracle's u_chi is the same
-specialization at xi = chi^p (``redenv.regular_representation``).
+left-factoring p-th powers out of PBW monomials.  zp is linear and
+coordinates are unique, so zp(x^m) is memoized per PBW monomial on the
+algebra (``_pbw_memo["zp-coordinates"]``); a monomial whose exponents
+>= p fall only on variables with x_i^[p] = 0 is the one term
+xi^(m // p) x^(m mod p) and needs no entry.  Ranks over the fraction
+field of the p-center are obtained by specializing the formal xi at
+RANK_TRIALS random points of F_{p^e} (maximum rank), e the smallest with
+p^e >= 4 n^2 d for d the largest total xi-degree of a row: each rank is
+an attained lower bound, equal to the true rank with Schwartz-Zippel
+confidence.  The coordinate terms are gathered once into index arrays
+(row, column, xi-monomial, coefficient); each point evaluates each
+xi-monomial once and scatter-adds the terms.  One class, ``_Span``,
+ranks every such matrix: per point, a ``matops.PrimeEchelon`` of the
+blocked F_p rows, each block reduced by one ``linalg.matmul_modp``
+product, exact at every p of the int64 envelope.  The oracle's u_chi is
+the same specialization at xi = chi^p (``redenv.regular_representation``).
 
 ``rank_over_frobenius_subring`` (``kw1 lemma1``) is the commutative
 model: the rank of A = F_p[x_1..x_n] over B . A^p.  Its generating set
 is exact: for g in A, g^p = g(x^p) lies in A^p, so B . A^p is spanned
 over A^p by the products prod_j g_j^{k_j} with 0 <= k_j < p, which are
-ranked once, with no closure to stabilize.  The verdict still closes the
-center under products for at most ``PRODUCT_ROUNDS`` rounds: a central z
-need not have z^p in the p-center, so no such finite set is known there.
+ranked once.
 
-That closure does each piece of work once, and each shortcut is exact,
-so every rank, field and report is what forming everything anew gives:
-
-- zp is linear: zp(sum c_m x^m) = sum c_m zp(x^m), and coordinates in
-  the free module are unique.  zp(x^m) is memoized per PBW monomial on
-  the algebra (``_pbw_memo["zp-coordinates"]``), like straightening.  A
-  monomial whose exponents >= p fall only on variables with x_i^[p] = 0
-  needs no entry: there x_i^p = xi_i, so x^m = xi^(m // p) x^(m mod p),
-  one term.  Abelian algebras store nothing.
-- Closure elements are central, so they commute, and a product depends
-  only on the multiset of basis elements it multiplies.  A multiset met
-  again in the same round has its product in ``seen`` already (or zero),
-  so the round would drop it; it is skipped unformed.
-- The D-1 basis elements are the D slice's elements of degree <= D-1,
-  the same objects, so a product over them that the D closure formed is
-  the D-1 closure's product too.  ``_ProductTable`` passes it, with its
-  coordinates, to the D-1 closure, which also computes coordinates only
-  for elements the D closure never met.
-- Each row is gathered into the index arrays once, when it is added.
-  Ranks do not depend on the order of rows or columns.
+The verdict reads the rank of the algebra the degree <= D slice of the
+center generates with a spin (``_spin_ranks``), run at one point after
+another.  Its generators are the slice's basis elements of positive
+degree, lowest degree first.  It spans the rows of 1 and of the
+generators, then takes each generator g in turn: every element kept so
+far is multiplied by g, a product whose row grows the span is kept and
+multiplied by g again, and so on until nothing grows.  A generator whose
+own row grew no span is passed over.  This is exact: specializing is an
+algebra map onto u_xi, and central elements commute, so if the span V is
+an algebra closed under the generators before g, then
+V + V g + V g^2 + ... is one closed under g too (V g^k h = V h g^k), and
+a generator passed over lies in the span of 1 and the generators before
+it, so in V already.  A product kept in g's turn is multiplied only by g
+and later generators, and a generator's own row only from its own turn
+on: for h before g, (y g) h = (y h) g, with y h in the span by induction
+on the factors.  So the span ends as the image of the algebra at the
+point, with no round cap; the spin stops by itself, or once the span is
+all p^n reduced monomials, which ends the search.  The rank is the
+largest point's dimension, and a later point reads the products and
+coordinate maps earlier ones formed from a table, so only one echelon is
+held at a time and no product is formed twice.  The D-1 generators come
+first, so the same run reads the D-1 rank and ``stabilized``.  A product
+that needs a larger e than the field's starts the search again over
+that field, from the same table.
 
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
@@ -64,9 +70,12 @@ directly.
 
 Memory guards: ``MATRIX_BYTES_CAP`` bounds the commutator matrix taken
 dense with the copy its nullspace reduces (``_check_matrix_budget``, an
-upper bound on every component's block), and the coefficient array plus
-blocked F_p form of each specialized rank (``_check_rank_budget``).  Both
-refuse before allocating, with ``DegreeBoundTooLargeForMemory``.
+upper bound on every component's block), and the echelons of a rank with
+the rows a step may add to them and its working blocks
+(``_check_spin_budget``, before the spin forms a step's products and
+again before it ranks them).  ``MONOMIAL_CAP`` bounds the monomials of
+the commutator matrix and the reduced monomials the spin's rows meet.
+Each refuses with ``DegreeBoundTooLargeForMemory``.
 """
 
 from __future__ import annotations
@@ -86,6 +95,7 @@ from .errors import (
 )
 from .fields import GF, galois_field, prime_field, reduce_sparse, render_poly_modp
 from .liealg import ModularLieAlgebra, index_generic
+from .matops import PrimeEchelon
 from .pbw import (
     SymPoly,
     UEElement,
@@ -105,7 +115,6 @@ MONOMIAL_CAP = 20000
 # reduces, and bytes of the matrices of one specialized rank
 MATRIX_BYTES_CAP = 1 << 30
 RANK_TRIALS = 3
-PRODUCT_ROUNDS = 3
 # random trials of the generic index, printed as ``indexTrials``
 INDEX_TRIALS = 3
 
@@ -283,22 +292,6 @@ def _check_matrix_budget(n: int, count: int):
         )
 
 
-def _check_rank_budget(rows: int, cols: int, e: int):
-    """Refuse a specialized rows x cols rank over F_{p^e} whose matrices exceed the cap.
-
-    The count is 8 rows cols e (e + 1) bytes: the (rows e) x (cols e)
-    blocked F_p form plus a (rows, cols, e) int64 coefficient array.
-    ``_CoordinateTerms.rank`` writes the coefficients straight into the
-    blocked form (``linalg.blocked_form``), so it allocates only the
-    first part; the rank's own temporaries are per block of rows.
-    """
-    nbytes = 8 * rows * cols * e * (e + 1)
-    if nbytes > MATRIX_BYTES_CAP:
-        raise DegreeBoundTooLargeForMemory(
-            nbytes, MATRIX_BYTES_CAP, unit="bytes of specialized rank matrices"
-        )
-
-
 def _commutator_entries(alg: ModularLieAlgebra, monos, index):
     """Nonzero entries (rows, cols, vals) of the stacked maps [x_i, -].
 
@@ -379,22 +372,18 @@ def center_basis_bounded(
 
     The nullspace is solved once, at ``bound``; the D-1 slice is the
     canonical basis elements of degree <= D-1 (see the module docstring).
-    The rank at D is specialized over a field of degree at least
-    ``min_extension``; the rank at D-1 over the smallest sufficient one.
-    Both closures share one ``_ProductTable``, so the D-1 closure reads
-    the products and coordinates the D closure formed over its factors.
-    ``stabilized`` is true when the two ranks agree, the working signal
-    that no new central directions appear at the top degree.
+    One spin ranks the algebras both slices generate: the D-1 slice's
+    generators first, then the degree-D ones, over a field of degree at
+    least ``min_extension``.  ``stabilized`` is true when the two ranks
+    agree, the working signal that no new central directions appear at
+    the top degree.
     """
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
     elements = _center_space(alg, bound)
-    prev_elements = [el for el in elements if el.degree <= bound - 1]
-    factors = [el for el in elements if not el.is_zero()]
-    shared = [k for k, el in enumerate(factors) if el.degree <= bound - 1]
-    table = _ProductTable(alg, factors, shared)
-    r_here, field = _rank_of_elements(alg, elements, seed, min_extension, table=table)
-    r_prev = _rank_of_elements(alg, prev_elements, seed, table=table)[0]
+    prev = [el for el in elements if el.degree <= bound - 1]
+    top = [el for el in elements if el.degree == bound]
+    r_prev, r_here, field = _spin_ranks(alg, prev, top, seed, min_extension)
     return CenterBasis(
         degree_bound=bound,
         elements=tuple(elements),
@@ -418,7 +407,7 @@ class _CoordinateTerms:
     ``coef[t] * xi^exponents[mono[t]]`` to entry (row[t], col[t]), so a
     specialization evaluates each distinct xi-monomial once and scatters
     the products.  ``extend`` gathers only the rows it is given, so a
-    closure gathers each row once however many ranks it takes.
+    spin gathers each row once however often it specializes it.
     """
 
     def __init__(self, maps, num_vars: int, columns=()):
@@ -456,23 +445,20 @@ class _CoordinateTerms:
         )
 
     @property
-    def shape(self):
-        return self.rows, len(self.columns)
-
-    @property
     def max_degree(self) -> int:
         """Largest total xi-degree of a term; 0 without terms."""
         return int(self.exponents.sum(axis=1).max(initial=0))
 
-    def values(self, point, field: GF, out=None) -> np.ndarray:
+    def values(self, point, field: GF, out=None, rows=None) -> np.ndarray:
         """(rows, cols, e) coefficient array of the matrix at ``point``.
 
+        Only the ``rows`` given (indices, in their order) when given.
         Written into ``out`` (zeroed, any strides) when given.  ``point``
-        holds one ``FFElem`` of ``field`` per xi variable.  int64:
-        each term is reduced below p before the scatter-add, so an entry
-        hit by T terms stays below T p.  T is at most the number of
-        gathered terms; inside ``linalg.require_exact_prime``, 2^63 / p
-        is over 3 * 10^9 terms, some 100 GB of index arrays.
+        holds one ``FFElem`` of ``field`` per xi variable.  int64: each
+        term is reduced below p before the scatter-add, so an entry hit by
+        T terms stays below T p.  T is at most the number of gathered
+        terms; inside ``linalg.require_exact_prime``, 2^63 / p is over
+        3 * 10^9 terms, some 100 GB of index arrays.
         """
         p, e = field.p, field.e
         at = np.array([x.coeffs for x in point], dtype=np.int64).reshape(len(point), e)
@@ -495,17 +481,20 @@ class _CoordinateTerms:
         vals[:, 0] = 1
         for i in range(at.shape[0]):
             vals = _field_mul(vals, powers[where[:, i], i], field)
+        if rows is None:
+            terms, local, count = slice(None), self.row, self.rows
+        else:
+            # a row's terms are one run of the gathered arrays
+            rows = np.asarray(rows, dtype=np.intp)
+            lo = np.searchsorted(self.row, rows)
+            size = np.searchsorted(self.row, rows, side="right") - lo
+            terms = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+            local, count = np.repeat(np.arange(len(rows)), size), len(rows)
         if out is None:
-            out = np.zeros(self.shape + (e,), dtype=np.int64)
-        np.add.at(out, (self.row, self.col), vals[self.mono] * self.coef[:, None] % p)
+            out = np.zeros((count, len(self.columns), e), dtype=np.int64)
+        np.add.at(out, (local, self.col[terms]), vals[self.mono[terms]] * self.coef[terms, None] % p)
         out %= p
         return out
-
-    def rank(self, point, field: GF) -> int:
-        _check_rank_budget(*self.shape, field.e)
-        big, coeffs = linalg.blocked_form(*self.shape, field)
-        self.values(point, field, out=coeffs)
-        return linalg.rank_blocked(big, field)
 
 
 def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
@@ -528,167 +517,145 @@ def _field_mul(a: np.ndarray, b: np.ndarray, field: GF) -> np.ndarray:
     return out
 
 
-def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed, min_ext=1):
-    """Max specialized rank of gathered coordinate rows over up to RANK_TRIALS random points.
+def _check_spin_budget(dim: int, rows: int, width: int):
+    """Refuse when an echelon holding ``dim`` F_p rows, grown by ``rows``, could exceed the cap.
 
-    ``terms`` holds the nonzero coordinate maps (reduced monomial ->
-    polynomial in n variables) as rows.  The field is F_{p^e}, e the
-    smallest with p^e >= 4 n^2 d for d the largest total degree of a
-    coordinate (at least ``min_ext``), its modulus drawn from
-    ``derive_seed(field_tag, p, e, seed)``; the points come from
-    ``random.Random(point_seed)``, and the trials stop at full rank.
-    Returns (rank, field), or (0, F_p) without a row.
+    ``width`` is the blocked width.  Its buffer holds at most twice its
+    rows (8 at first) and at most ``width``, with one old copy alive while
+    it grows or widens; eight arrays of a ``linalg._RANK_BLOCK``-row block.
     """
-    if not terms.rows:
-        return 0, prime_field(p)
-    e = max(sz_extension_degree(p, n, terms.max_degree), min_ext)
+    held = min(max(8, 2 * (dim + rows)), width)
+    nbytes = 8 * width * (2 * held + 8 * min(rows, linalg._RANK_BLOCK))
+    if nbytes > MATRIX_BYTES_CAP:
+        raise DegreeBoundTooLargeForMemory(
+            nbytes, MATRIX_BYTES_CAP, unit="bytes of specialized rank matrices"
+        )
+
+
+def _sampling(p: int, n: int, e: int, field_tag: str, seed: int, point_seed: int):
+    """F_{p^e} and the RANK_TRIALS random points a rank is specialized at."""
     field = galois_field(p, e, seed=derive_seed(field_tag, p, e, seed))
     rng = random.Random(point_seed)
-    best = 0
-    for _ in range(RANK_TRIALS):
-        point = [field.random_nonzero(rng) for _ in range(n)]
-        best = max(best, terms.rank(point, field))
-        if best == min(terms.shape):
+    return field, [[field.random_nonzero(rng) for _ in range(n)] for _ in range(RANK_TRIALS)]
+
+
+class _Span:
+    """The span of gathered coordinate rows specialized at one point.
+
+    A row over F_{p^e} is e blocked F_p rows (``linalg.blocked_form``)
+    spanning its F_{p^e} line, so it grows the echelon by e or not at all.
+    """
+
+    def __init__(self, field: GF, point):
+        self.field, self.point = field, point
+        self.echelon = PrimeEchelon(field.p, 0)
+
+    @property
+    def rank(self) -> int:
+        return self.echelon.dim // self.field.e
+
+    def insert(self, terms: _CoordinateTerms, rows: list, full: int) -> list:
+        """The ``rows`` of ``terms`` that grow the span, in order; stops at rank ``full``."""
+        field, echelon = self.field, self.echelon
+        e, cols = field.e, len(terms.columns)
+        _check_spin_budget(echelon.dim, len(rows) * e, cols * e)
+        echelon.widen(cols * e)
+        grown = []
+        step = max(1, linalg._RANK_BLOCK // e)
+        for lo in range(0, len(rows), step):
+            chunk = rows[lo:lo + step]
+            big, coeffs = linalg.blocked_form(len(chunk), cols, field)
+            terms.values(self.point, field, out=coeffs, rows=chunk)
+            block = linalg._fill_blocks(big, field)
+            # reduced first by the basis rows whose pivots it meets, a block
+            # of them per exact product, so insert_all forms no product
+            lead = block[:, echelon.pivots]
+            used = np.flatnonzero(lead.any(axis=0))
+            for k in range(0, used.size, linalg._RANK_BLOCK):
+                u = used[k:k + linalg._RANK_BLOCK]
+                block = (block - linalg.matmul_modp(lead[:, u], echelon.rows[u], field.p)) % field.p
+            grown += [chunk[j // e] for j in echelon.insert_all(block)[::e]]
+            if self.rank == full:
+                break
+        return grown
+
+
+def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed) -> int:
+    """Largest rank of the gathered rows over the RANK_TRIALS points; stops at full rank."""
+    e = sz_extension_degree(p, n, terms.max_degree)
+    field, points = _sampling(p, n, e, field_tag, seed, point_seed)
+    full, rank = min(terms.rows, len(terms.columns)), 0
+    for point in points:
+        span = _Span(field, point)
+        span.insert(terms, list(range(terms.rows)), full)
+        rank = max(rank, span.rank)
+        if rank == full:
             break
-    return best, field
+    return rank
 
 
-def _element_key(el: UEElement):
-    return frozenset(el.terms.items())
+def _spin_ranks(alg: ModularLieAlgebra, first, then, seed: int, min_ext: int = 1):
+    """(rank over ``first``, rank over both, field) of the algebras central elements generate.
 
-
-class _Entry:
-    """One distinct element met by a closure: its key, a factor label, its coordinates."""
-
-    __slots__ = ("key", "label", "coords")
-
-    def __init__(self, key, label):
-        self.key = key
-        self.label = label
-        self.coords = None
-
-
-class _ProductTable:
-    """Central products over one list of factors, each formed once.
-
-    ``factors`` are the nonzero basis elements of a center slice.  A
-    product is labelled by the sorted tuple of the factor indices it
-    multiplies; central factors commute, so the label fixes the product.
-    ``entries`` holds one entry per distinct element met (keyed by the
-    frozenset of its terms, the key ``seen`` sets hold), with the label it
-    was first formed under and its coordinate map once computed.
-    ``formed`` maps each label over the ``shared`` factors to the entry of
-    its product (None when zero), so a later closure over those factors
-    reads products and coordinates instead of forming them again.  Only
-    references to entries are kept, never a second copy of a product.
+    See the module docstring; e is at least ``min_ext``.
     """
-
-    def __init__(self, alg: ModularLieAlgebra, factors, shared=()):
-        self.alg = alg
-        self.index = {}
-        self.entries = {}
-        for k, el in enumerate(factors):
-            key = _element_key(el)
-            self.index[key] = k
-            self.entries[key] = _Entry(key, (k,))
-        one = _element_key(ue_one(alg))
-        self.entries.setdefault(one, _Entry(one, ()))
-        self.shared = frozenset(shared)
-        self.formed: dict = {}
-
-    def multiply(self, a: UEElement, b: UEElement, label):
-        """Form a * b under ``label``; returns (entry or None when zero, product)."""
-        prod = a * b
-        entry = None
-        if not prod.is_zero():
-            key = _element_key(prod)
-            entry = self.entries.get(key)
-            if entry is None:
-                entry = self.entries[key] = _Entry(key, label)
-        if self.shared.issuperset(label):
-            self.formed[label] = entry
-        return entry, prod
-
-    def coordinates(self, el: UEElement):
-        """``zp_coordinates`` of ``el``, computed once per distinct element."""
-        entry = self.entries[_element_key(el)]
-        if entry.coords is None:
-            entry.coords = zp_coordinates(el, self.alg).coordinates
-        return entry.coords
-
-
-def _new_products(frontier, gens, seen, table: _ProductTable, commuting_square=False):
-    """Nonzero products a * b, a in ``frontier``, b in ``gens``, not in ``seen``.
-
-    ``gens`` are factors of ``table`` and every frontier element has an
-    entry there.  Each new product's key is added to ``seen``.  A factor
-    multiset met twice in one call is skipped the second time: its product
-    is then in ``seen`` or zero.  A multiset ``table.formed`` already holds
-    is read, not multiplied.  With ``commuting_square`` the frontier is
-    ``gens`` itself and its elements commute, so b * a = a * b: only pairs
-    with b at or after a are formed, which yields the same list in the
-    same order as the full double loop.
-    """
-    ids = [table.index[_element_key(b)] for b in gens]
-    done = set()
-    new_items = []
-    for k, a in enumerate(frontier):
-        head = table.entries[_element_key(a)].label
-        for j in range(k if commuting_square else 0, len(gens)):
-            label = tuple(sorted(head + (ids[j],)))
-            if label in done:
-                continue
-            done.add(label)
-            if label in table.formed:
-                entry, prod = table.formed[label], None
-            else:
-                entry, prod = table.multiply(a, gens[j], label)
-            if entry is None or entry.key in seen:
-                continue
-            seen.add(entry.key)
-            if prod is None:
-                prod = UEElement._reduced(table.alg, dict(entry.key))
-            new_items.append(prod)
-    return new_items
-
-
-def _rank_of_elements(alg, elements, seed, min_ext=1, table=None):
-    """Stabilized rank of the p-center subalgebra generated by ``elements``.
-
-    Closes under products of at most two factors per round, at most
-    PRODUCT_ROUNDS rounds, stopping as soon as the specialized rank
-    stops growing.  The elements are central, so round one forms each
-    unordered pair once.  Products and coordinates come from ``table``
-    (built here over ``elements`` when not given), whose factors must
-    include ``elements``; rows are gathered once, as they are added.
-    Returns (rank, specialization field).
-    """
-    pool = [ue_one(alg)] + [el for el in elements if not el.is_zero()]
-    gens = pool[1:]
-    if table is None:
-        table = _ProductTable(alg, gens)
-    seen = {_element_key(el) for el in pool}
-    terms = _CoordinateTerms([], alg.n)
-
-    def add_rows(items):
-        terms.extend([m for m in map(table.coordinates, items) if m])
-
-    add_rows(pool)
+    n, p = alg.n, alg.p
+    full = p**n
+    gens = sorted((el for el in first if el.degree > 0), key=lambda el: el.degree)
+    split = len(gens)
+    gens += sorted((el for el in then if el.degree > 0), key=lambda el: el.degree)
     point_seed = derive_seed("specialize", alg.signature(), seed)
-    spec = (alg.p, alg.n, "spec-field", seed, point_seed, min_ext)
-    r, field = _specialized_rank(terms, *spec)
-    frontier = gens
-    for rnd in range(PRODUCT_ROUNDS):
-        new_items = _new_products(frontier, gens, seen, table, commuting_square=(rnd == 0))
-        if not new_items:
-            break
-        add_rows(new_items)
-        r2, field = _specialized_rank(terms, *spec)
-        frontier = new_items
-        if r2 == r:
-            break
-        r = r2
-    return r, field
+    made = [(ue_one(alg), 0)]  # each row's element and the generator it was formed with
+    terms = _CoordinateTerms([zp_coordinates(made[0][0], alg).coordinates], n)
+    formed = {}  # (row, generator index) -> row of their product
+
+    def field_degree():
+        return max(sz_extension_degree(p, n, terms.max_degree), min_ext)
+
+    def products(pairs):
+        new = [pair for pair in pairs if pair not in formed]
+        for r, j in new:
+            formed[r, j] = len(made)
+            made.append((gens[j] if r == 0 else made[r][0] * gens[j], j))
+        terms.extend([zp_coordinates(el, alg).coordinates for el, _ in made[len(made) - len(new):]])
+        if len(terms.columns) > MONOMIAL_CAP:
+            raise DegreeBoundTooLargeForMemory(len(terms.columns), MONOMIAL_CAP)
+        return [formed[pair] for pair in pairs]
+
+    def spin(span):
+        e = span.field.e
+        kept = span.insert(terms, [0], full)
+        ranks = []
+        for lo, hi in ((0, split), (split, len(gens))):
+            own = products([(0, j) for j in range(lo, hi)]) if span.rank < full else []
+            if field_degree() > e:
+                return None
+            grown = set(span.insert(terms, own, full))
+            kept += [r for r in own if r in grown]
+            for j, gen_row in enumerate(own, lo):
+                if gen_row not in grown or span.rank == full:
+                    continue
+                frontier = [r for r in kept[1:] if made[r][1] <= j]
+                while frontier and span.rank < full:
+                    _check_spin_budget(span.echelon.dim, len(frontier) * e, len(terms.columns) * e)
+                    rows = products([(r, j) for r in frontier])
+                    if field_degree() > e:
+                        return None
+                    frontier = span.insert(terms, rows, full)
+                    kept += frontier
+            ranks.append(span.rank)
+        return ranks
+
+    while True:
+        field, points = _sampling(p, n, field_degree(), "spec-field", seed, point_seed)
+        best = [0, 0]
+        for point in points:
+            ranks = spin(_Span(field, point))
+            if ranks is None or ranks[1] == full:
+                break
+            best = [max(pair) for pair in zip(best, ranks)]
+        if ranks is not None:
+            return max(best[0], ranks[0]), max(best[1], ranks[1]), field
 
 
 def zp_subalgebra_contains(a: UEElement, alg: ModularLieAlgebra) -> bool:
@@ -747,12 +714,9 @@ def fraction_field_degree(
     phi_pow = ue_one(alg)
     for d in range(power_bound + 1):
         v = phi_pow * psi_pow[exponent - d]
-        coords = zp_coordinates(v, alg).coordinates
-        terms.extend([coords] if coords else [])
-        if d >= 1:
-            r, _ = _specialized_rank(terms, p, alg.n, "spec-field", seed, point_seed)
-            if r < d + 1:
-                return d
+        terms.extend([zp_coordinates(v, alg).coordinates])
+        if d >= 1 and _specialized_rank(terms, p, alg.n, "spec-field", seed, point_seed) < d + 1:
+            return d
         phi_pow = phi_pow * phi
     return power_bound + 1
 
@@ -797,7 +761,7 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
 
     Each table keeps every earlier product (k_j = 0), so its distinct
     products and the reduced monomials they meet bound the final rank's
-    rows and columns from below: ``_check_rank_budget`` refuses an
+    rows and columns from below: ``_check_spin_budget`` refuses an
     over-budget input after the table that first exceeds it (at e = 1),
     before the next one, p times larger, is formed.
 
@@ -831,10 +795,10 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
         for key in grown.keys() - products.keys():
             columns.update(tuple(a % p for a in exps) for exps, _ in key)
         products = grown
-        _check_rank_budget(len(products), len(columns), 1)
+        _check_spin_budget(0, len(products), len(columns))
     maps = [_frobenius_coordinates(f, p) for f in products.values()]
-    r, _ = _specialized_rank(
-        _CoordinateTerms([m for m in maps if m], num_vars), p, num_vars,
+    r = _specialized_rank(
+        _CoordinateTerms(maps, num_vars), p, num_vars,
         "frob-field", seed, derive_seed("frob-points", p, num_vars, seed),
     )
     total = p**num_vars

@@ -3,14 +3,14 @@
 Two row reductions:
 
 * ``_eliminate``: numpy int64 matrices reduced mod p, with vectorized
-  row operations.  It is the hot path for center computations, and
-  every rank over F_{p^e} goes through it too: its blocked form embeds
-  each F_{p^e} entry as its e x e multiplication matrix over F_p
-  (``rank_coefficient_array`` takes the entries straight as a
-  (rows, cols, e) int64 array; ``blocked_form`` lets a caller write them
-  into block column 0 directly, and ``rank_blocked`` fills the other
-  block columns and ranks the result).
-  Solves are over F_p only.
+  row operations, for the center nullspace and the ranks here.  A rank
+  over F_{p^e} goes through the blocked form, which embeds each F_{p^e}
+  entry as its e x e multiplication matrix over F_p
+  (``rank_coefficient_array`` takes the entries as a (rows, cols, e)
+  int64 array; ``blocked_form`` lets a caller write them into block
+  column 0 directly, and ``_fill_blocks`` fills the other block
+  columns).  The verdict's spin reduces such blocked rows by its own
+  echelons (``center._Span``).  Solves are over F_p only.
 * ``rref_ff``: one list RREF for scalars with field arithmetic and
   ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
   ``FFElem`` for nullspaces over extensions.
@@ -20,8 +20,8 @@ Two kernels are fitted to the matrices they get:
 * Ranks (``rank_modp``, ``rank_coefficient_array``) of matrices taller
   than ``_RANK_BLOCK`` rows are blocked: each block of rows is cleared
   against the echelon so far by products, then reduced by
-  ``_eliminate``, so the closure's tall, low-rank matrices cost rank-1
-  updates on blocks only (``_rank_reduced``).
+  ``_eliminate``, so tall, low-rank matrices cost rank-1 updates on
+  blocks only (``_rank_reduced``).
 * ``nullspace_rref_sparse`` takes a matrix by its nonzero entries and
   solves one connected column component at a time.  The commutator
   matrices of the center are graded and so block-diagonal up to order;
@@ -415,26 +415,20 @@ def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
     return big
 
 
-def rank_blocked(big: np.ndarray, field: GF) -> int:
-    """Rank over F_{p^e} of a ``blocked_form`` whose block column 0 is filled.
+def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
+    """Rank over F_{p^e} of a (rows, cols, e) coefficient array, any e >= 1.
 
-    Fills the other block columns and ranks in place: the F_p-rank of the
-    blocked form is e times the rank.
+    The F_p-rank of the blocked form is e times the rank.
     """
-    if not big.size:
+    if not coeffs.size:
         return 0
     e = field.e
+    big, first = blocked_form(coeffs.shape[0], coeffs.shape[1], field)
+    first[...] = coeffs
     r = _rank_reduced(_fill_blocks(big, field), field.p)
     if r % e:
         raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
     return r // e
-
-
-def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
-    """Rank over F_{p^e} of a (rows, cols, e) coefficient array, any e >= 1."""
-    big, first = blocked_form(coeffs.shape[0], coeffs.shape[1], field)
-    first[...] = coeffs
-    return rank_blocked(big, field)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ has width d^2) allocates for its rank, never width x width up front.
 ``insert_all`` inserts a batch of rows in order with the result of one
 ``insert`` each.  The prime echelon reduces the whole batch by its basis
 in one product, then updates only the later rows of the batch for each
-row it accepts; the extension echelon loops ``insert``.
+row it accepts; the extension echelon loops ``insert``.  The verdict's
+spin (``center._Span``) grows a prime echelon's width (``widen``) and
+reduces its rows before ``insert_all``, which then forms no product.
 
 Each backend has this one row reduction.  ``krylov_minpoly`` runs on it
 too: row k of its echelon is (r^k v | e_k), and the first row whose left
@@ -26,7 +28,9 @@ Every int64 product here sums k terms below (p - 1)^2, for an inner
 dimension k of at most the module dimension d (d + 1 for the Krylov
 echelon, d^2 for the Burnside one), so it is exact while k (p - 1)^2 < 2^63.  The splitter only
 runs when p^n <= ``redenv.DIM_CAP`` (625), so p and d are at most
-``DIM_CAP`` and the bound holds with room to spare.
+``DIM_CAP`` and the bound holds with room to spare.  The spin's rows
+reach every p of the int64 envelope, where the row updates multiply two
+residues at a time, exact while p (p - 1) < 2^63.
 """
 
 from __future__ import annotations
@@ -120,7 +124,9 @@ class PrimeEchelon:
         rows = np.asarray(rows) % p
         k = len(self.pivots)
         if k:
-            rows = (rows - rows[:, self.pivots] @ self._buf[:k]) % p
+            lead = rows[:, self.pivots]
+            if np.count_nonzero(lead):
+                rows = (rows - lead @ self._buf[:k]) % p
         accepted = []
         for j, v in enumerate(rows):
             nz = v.nonzero()[0]
@@ -136,6 +142,11 @@ class PrimeEchelon:
                 later -= later[:, piv, None] * self._buf[len(self.pivots) - 1]
                 later %= p
         return accepted
+
+    def widen(self, width):
+        """Pad the rows with zero columns up to ``width``; rows and pivots stay."""
+        if width > self._buf.shape[1]:
+            self._buf = np.pad(self._buf, ((0, 0), (0, width - self._buf.shape[1])))
 
     def _append(self, v, piv):
         """Add a reduced row v with first nonzero at ``piv``, scaled to 1 there."""

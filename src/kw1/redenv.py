@@ -136,34 +136,6 @@ class Character:
         return tuple(c.render() for c in self.chi)
 
 
-class ReducedEnvelopingAlgebra:
-    """u_chi(g): the p^n-dimensional quotient of U(g) at the character chi.
-
-    u_chi = U(g) (x)_{Z_p} F is the fibre of U(g) at the point xi = chi^p
-    of Spec Z_p: its products are the zp coordinates of the straightened
-    products, specialized at xi_i = chi_i^p with the kernel the verdict
-    uses (``center._CoordinateTerms.values``).
-    """
-
-    def __init__(self, alg: ModularLieAlgebra, chi: Character):
-        if alg.restricted is None:
-            raise ValueError("algebra carries no restricted structure")
-        self.alg = alg
-        self.chi = chi
-        self.field = chi.chi[0].field if chi.chi else prime_field(alg.p)
-        self.dimension = alg.p**alg.n
-        if self.dimension > DIM_CAP:
-            raise DimensionCap(self.dimension, DIM_CAP)
-        self.monomials = sorted(
-            product(range(alg.p), repeat=alg.n), key=deglex_key
-        )
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-
-
-def reduced_algebra(alg: ModularLieAlgebra, chi: Character):
-    return ReducedEnvelopingAlgebra(alg, chi)
-
-
 @dataclass
 class AlgebraModule:
     """A module given by one action matrix per algebra generator."""
@@ -173,38 +145,48 @@ class AlgebraModule:
     mats: list
 
 
-def _left_action_terms(u: ReducedEnvelopingAlgebra) -> _CoordinateTerms:
+def _left_action_terms(alg: ModularLieAlgebra) -> _CoordinateTerms:
     """chi-independent zp coordinates of every x_i . x^m, gathered once per algebra.
 
-    Row i p^n + k is x_i . x^m for m = ``u.monomials[k]``, and column k
-    is that monomial too, so a specialization needs no reordering.
+    m runs over the reduced monomials (every exponent below p) in deglex
+    order, the basis of u_chi.  Row i p^n + k is x_i . x^m for m the k-th
+    of them, and column k is that monomial too, so a specialization needs
+    no reordering.
     """
-    alg = u.alg
     terms = alg._pbw_memo.get("redenv-left")
     if terms is None:
+        monomials = sorted(product(range(alg.p), repeat=alg.n), key=deglex_key)
         maps = []
         for i in range(alg.n):
             gen_mono = tuple(1 if k == i else 0 for k in range(alg.n))
-            for mono in u.monomials:
+            for mono in monomials:
                 elem = UEElement._reduced(alg, _mono_times_mono(alg, gen_mono, mono))
                 maps.append(zp_coordinates(elem, alg).coordinates)
-        terms = alg._pbw_memo["redenv-left"] = _CoordinateTerms(maps, alg.n, columns=u.monomials)
+        terms = alg._pbw_memo["redenv-left"] = _CoordinateTerms(maps, alg.n, columns=monomials)
     return terms
 
 
-def regular_representation(u: ReducedEnvelopingAlgebra) -> AlgebraModule:
-    """Left regular action of the generators on the reduced monomial basis.
+def regular_representation(alg: ModularLieAlgebra, chi: Character) -> AlgebraModule:
+    """Left regular action of the generators on u_chi(g).
 
-    One specialization of the gathered left actions at xi_i = chi_i^p
-    gives every generator's matrix: int64 residues over F_p, and the
-    ``FFElem`` rows of the extension backend over F_{p^e}, where every
-    zero entry is the field's own ``zero``.
+    u_chi is the p^n-dimensional quotient of U(g) at the character chi,
+    with basis the reduced monomials in deglex order.  It is the fibre
+    U(g) (x)_{Z_p} F at the point xi = chi^p of Spec Z_p, so one
+    specialization of the gathered left actions at xi_i = chi_i^p gives
+    every generator's matrix: int64 residues over F_p, and the ``FFElem``
+    rows of the extension backend over F_{p^e}, where every zero entry is
+    the field's own ``zero``.  p^n above ``DIM_CAP`` raises
+    ``DimensionCap``.
     """
-    d, e, field = u.dimension, u.field.e, u.field
-    xi = [c**u.alg.p for c in u.chi.chi]
-    values = _left_action_terms(u).values(xi, field)
+    d = alg.p**alg.n
+    if d > DIM_CAP:
+        raise DimensionCap(d, DIM_CAP)
+    field = chi.chi[0].field if chi.chi else prime_field(alg.p)
+    e = field.e
+    xi = [c**alg.p for c in chi.chi]
+    values = _left_action_terms(alg).values(xi, field)
     # values[i p^n + col, row] is entry (row, col) of x_i's matrix
-    blocks = values.reshape(u.alg.n, d, d, e).transpose(0, 2, 1, 3)
+    blocks = values.reshape(alg.n, d, d, e).transpose(0, 2, 1, 3)
     if e == 1:
         mats = [np.ascontiguousarray(block[..., 0]) for block in blocks]
     else:
@@ -634,8 +616,7 @@ def max_irreducible_dim(
         degraded = False
         # a repeat would split the same module with the same seed again
         for chi in dict.fromkeys(_characters(alg, field, samples, rng)):
-            u = reduced_algebra(alg, chi)
-            module = regular_representation(u)
+            module = regular_representation(alg, chi)
             # while escalation is open, a top equal to best must read exactly
             escalation_open = may_escalate and len(tops) <= 1 and best < expected
             report = split_simples(

@@ -336,27 +336,30 @@ def test_report_bytes_match_golden(tmp_path, fname, name, p, extra):
 
 def test_d_minus_1_slice_is_the_d_minus_1_center(monkeypatch):
     """One solve at D gives, by degree, the canonical basis at D-1."""
-    ranked = []
+    spun = []
 
-    def fake_rank(alg, elements, seed, min_ext=1, table=None):
-        ranked.append(list(elements))
-        return 0, prime_field(alg.p)
+    def fake_spin(alg, first, then, seed, min_ext=1):
+        spun.append((list(first), list(then)))
+        return 0, 0, prime_field(alg.p)
 
-    monkeypatch.setattr(center, "_rank_of_elements", fake_rank)
+    monkeypatch.setattr(center, "_spin_ranks", fake_spin)
     for name, pres in builtin_examples().items():
         for p in (3, 5, 7):
             if (name == "gl2" and p == 5) or (name == "abelian:4" and p >= 5):
                 continue
             alg = _prepare(pres, p)
             bound = center.default_degree_bound(alg)
-            ranked.clear()
+            spun.clear()
             cb = center_basis_bounded(alg, bound, seed=0)
-            assert ranked[0] == list(cb.elements)
-            assert ranked[1] == center._center_space(alg, bound - 1), (name, p)
+            first, then = spun[0]
+            assert first == center._center_space(alg, bound - 1), (name, p)
+            assert first == [el for el in cb.elements if el.degree < bound]
+            assert then == [el for el in cb.elements if el.degree == bound]
 
 
 def test_verdict_solves_once_and_ranks_twice(make_algebra, monkeypatch):
-    calls = {"_center_space": 0, "_rank_of_elements": 0}
+    """One center solve, and one spin that reads both the D-1 and the D rank."""
+    calls = {"_center_space": 0, "_spin_ranks": 0}
     for fname in calls:
         real = getattr(center, fname)
 
@@ -367,7 +370,7 @@ def test_verdict_solves_once_and_ranks_twice(make_algebra, monkeypatch):
         monkeypatch.setattr(center, fname, counted)
     rep = kw1_verdict(make_algebra("remark:1:2", 5), seed=0, min_extension=3)
     assert rep.verdict == "verified" and rep.e == 3
-    assert calls == {"_center_space": 1, "_rank_of_elements": 2}
+    assert calls == {"_center_space": 1, "_spin_ranks": 1}
 
 
 def test_principal_symbol_self_check(make_algebra, monkeypatch):
@@ -454,34 +457,17 @@ def test_gathered_rows_match_evaluate(e):
                 ]
                 assert [list(v) for v in got[r]] == [list(w.coeffs) for w in want]
                 rows.append(want)
-            assert terms.rank(point, field) == linalg.rank_ff(rows, field)
-
-
-def test_round_one_products_match_full_double_loop(make_algebra):
-    for name, p, bound in (("sl2", 3, 4), ("heisenberg", 3, 4), ("remark:1:2", 5, 6)):
-        alg = make_algebra(name, p)
-        gens = list(center_basis_bounded(alg, bound, seed=0).elements)
-        keys = {frozenset(el.terms.items()) for el in [ue_one(alg)] + gens}
-        want, want_seen = [], set(keys)
-        for a in gens:
-            for b in gens:
-                prod = a * b
-                key = frozenset(prod.terms.items())
-                if key not in want_seen and not prod.is_zero():
-                    want_seen.add(key)
-                    want.append(prod)
-        seen = set(keys)
-        table = center._ProductTable(alg, gens)
-        got = center._new_products(gens, gens, seen, table, commuting_square=True)
-        assert len(want) > 0, name
-        assert got == want and seen == want_seen, name
+            assert linalg.rank_coefficient_array(got, field) == linalg.rank_ff(rows, field)
+            picked = [len(maps) - 1, 0, 2]
+            assert np.array_equal(terms.values(point, field, rows=picked), got[picked])
 
 
 @pytest.mark.parametrize("name,p", [("sl2", 5), ("gl2", 3)])
 def test_closures_form_each_product_and_coordinate_map_once(make_algebra, monkeypatch, name, p):
-    """Each factor multiset is multiplied, and each element's coordinates
-    computed, at most once per center slice; the D-1 closure repeats none
-    of the D closure's work."""
+    """The spin multiplies each element it keeps by a generator at most
+    once, only elements it kept and only by slice elements, and maps each
+    row it forms to coordinates once: the unit, the generators and the
+    products."""
     from kw1.pbw import UEElement
 
     alg = make_algebra(name, p)
@@ -491,16 +477,16 @@ def test_closures_form_each_product_and_coordinate_map_once(make_algebra, monkey
     def key(el):
         return frozenset(el.terms.items())
 
-    # a product's label is the multiset of basis indices it multiplies
-    labels = {key(el): (k,) for k, el in enumerate(elements)}
+    gens = {key(el) for el in elements if el.degree > 0}
+    reached = set(gens)  # elements a product may start from
     multiplied, coordinated = [], []
     real_mul, real_zp = UEElement.__mul__, center.zp_coordinates
 
     def mul(a, b):
+        assert key(a) in reached and key(b) in gens
+        multiplied.append((key(a), key(b)))
         prod = real_mul(a, b)
-        label = tuple(sorted(labels[key(a)] + labels[key(b)]))
-        labels.setdefault(key(prod), label)
-        multiplied.append(label)
+        reached.add(key(prod))
         return prod
 
     def zp(a, alg):
@@ -513,7 +499,40 @@ def test_closures_form_each_product_and_coordinate_map_once(make_algebra, monkey
     cb = center_basis_bounded(alg, bound, seed=0)
     assert (cb.rank, cb.stabilized) == (p ** index_generic(alg, 3, 0), True)
     assert multiplied and len(multiplied) == len(set(multiplied)), name
-    assert len(coordinated) == len(set(coordinated)), name
+    assert len(coordinated) == 1 + len(gens) + len(multiplied), name
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_sl2_rank_at_degree_two_is_p(make_algebra, p):
+    """Z_p[C] has rank p, so D = 2 (the Casimir) already pins M = p."""
+    rep = kw1_verdict(make_algebra("sl2", p), degree_bound=2, seed=0)
+    assert (rep.rank_z_over_zp, rep.verdict, rep.m_upper) == (p, "verified", p)
+    assert not rep.stabilized  # the D-1 slice holds only the scalars
+
+
+def test_spin_reaches_full_rank_and_stabilizes(make_algebra):
+    # F_5[x, y] has rank 25 over F_5[x^5, y^5], reached from degree 1
+    cb = center_basis_bounded(make_algebra("abelian:2", 5), 1, seed=0)
+    assert cb.rank == 25
+    # gl2@5: z and the Casimir generate rank 25 from the D-1 = 2 slice
+    cb = center_basis_bounded(make_algebra("gl2", 5), 3, seed=0)
+    assert (cb.rank, cb.stabilized) == (25, True)
+
+
+def test_spin_budget_counts_echelons_and_one_block():
+    from kw1.errors import DegreeBoundTooLargeForMemory
+
+    # a full echelon, its old copy while it grows, and 8 blocks of 64 rows
+    width = 8064
+    assert 8 * width * (2 * width + 8 * 64) <= center.MATRIX_BYTES_CAP
+    center._check_spin_budget(width, 64, width)
+    with pytest.raises(DegreeBoundTooLargeForMemory, match="rank") as info:
+        center._check_spin_budget(width, 64, width + 1)
+    assert info.value.count == 8 * (width + 1) * (2 * (width + 1) + 8 * 64)
+    # a buffer holds at most twice its rows, and never more than its width
+    center._check_spin_budget(0, 10, 10**6)
+    with pytest.raises(DegreeBoundTooLargeForMemory):
+        center._check_spin_budget(0, 20000, 10**5)
 
 
 def test_verdict_ffelem_multiplications_bounded(make_algebra, monkeypatch):
@@ -556,21 +575,6 @@ def test_matrix_budget_boundary():
     assert info.value.count == 2 * 8 * (2**13 + 1) ** 2
     assert info.value.cap == center.MATRIX_BYTES_CAP
     assert "bytes" in str(info.value)
-
-
-def test_rank_budget_boundary():
-    from kw1.errors import DegreeBoundTooLargeForMemory
-
-    # 2^12 x 2^14 over F_p: coefficient array and blocked form are 2^30 bytes
-    assert 8 * 2**12 * 2**14 * 1 * 2 == center.MATRIX_BYTES_CAP
-    center._check_rank_budget(2**12, 2**14, 1)
-    with pytest.raises(DegreeBoundTooLargeForMemory, match="rank") as info:
-        center._check_rank_budget(2**12 + 1, 2**14, 1)
-    assert info.value.count == 8 * (2**12 + 1) * 2**14 * 2
-    # e (e + 1) bytes per entry: 0.8 GB at e = 4, 1.2 GB at e = 5
-    center._check_rank_budget(2000, 2500, 4)
-    with pytest.raises(DegreeBoundTooLargeForMemory):
-        center._check_rank_budget(2000, 2500, 5)
 
 
 def test_center_space_refuses_matrix_over_budget(make_algebra):

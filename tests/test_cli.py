@@ -127,6 +127,13 @@ def test_cli_check_exit_codes(capsys):
     assert main(["nosuchcommand"]) == 1
 
 
+def test_cli_check_sl2_at_the_casimir_degree(capsys):
+    # the degree 2 slice (1 and the Casimir C) generates Z_p[C], of rank 7
+    assert main(["check", "--example", "sl2", "--primes", "7", "--degree-bound", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert (report["rankZoverZp"], report["verdict"], report["mUpper"]) == (7, "verified", 7)
+
+
 def test_cli_check_output_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(

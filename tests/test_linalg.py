@@ -136,9 +136,9 @@ def test_blocked_matrix_blocks_are_mul_matrices():
 def test_blocked_rank_peak_stays_near_the_budgeted_bytes():
     import tracemalloc
 
-    # center._check_rank_budget counts the (rows, cols, e) coefficient array
-    # and its blocked form, 8 rows cols e (e + 1) bytes; the blocked form is
-    # built without full-size temporaries, and the rank's own are per block
+    # the (rows, cols, e) coefficient array and its blocked form take
+    # 8 rows cols e (e + 1) bytes; the blocked form is built without
+    # full-size temporaries, and the rank's own are per block
     rows, cols = 3000, 100
     for e in (2, 3, 4):
         field = galois_field(7, e)

@@ -28,7 +28,7 @@ from kw1.pbw import (
     ue_gen,
     ue_one,
 )
-from kw1.redenv import Character, reduced_algebra, regular_representation, split_simples
+from kw1.redenv import Character, regular_representation, split_simples
 from kw1.registry import get_example
 
 from conftest import SUITE
@@ -167,7 +167,7 @@ def test_split_dims_sum_100_cases():
                 tuple(field.from_int(rng.randrange(p)) for _ in range(alg.n))
             )
             rep = split_simples(
-                regular_representation(reduced_algebra(alg, chi)), seed=7
+                regular_representation(alg, chi), seed=7
             )
             assert sum(rep.dims) == p**alg.n
             cases += 1

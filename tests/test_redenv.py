@@ -15,11 +15,10 @@ from kw1.redenv import (
     AlgebraModule,
     Character,
     max_irreducible_dim,
-    reduced_algebra,
     regular_representation,
     split_simples,
 )
-from kw1.util import derive_seed
+from kw1.util import deglex_key, derive_seed
 
 
 def chi_of(alg, *values, field=None):
@@ -61,9 +60,8 @@ def check_bracket_relations(alg, module):
 def test_reduced_algebra_dimension_and_relations(make_algebra):
     alg = make_algebra("heisenberg", 3)
     chi = chi_of(alg, 0, 0, 1)
-    u = reduced_algebra(alg, chi)
-    assert u.dimension == 27
-    module = regular_representation(u)
+    module = regular_representation(alg, chi)
+    assert module.dimension == 27
     check_reduced_relations(alg, module, chi)
     check_bracket_relations(alg, module)
 
@@ -71,7 +69,7 @@ def test_reduced_algebra_dimension_and_relations(make_algebra):
 def test_sl2_regular_rep_relations(make_algebra):
     alg = make_algebra("sl2", 3)
     chi = chi_of(alg, 1, 2, 0)
-    module = regular_representation(reduced_algebra(alg, chi))
+    module = regular_representation(alg, chi)
     check_reduced_relations(alg, module, chi)
     check_bracket_relations(alg, module)
 
@@ -81,18 +79,19 @@ def test_regular_representation_columns_are_specialized_coordinates(make_algebra
     # straightened in U(g), at xi = chi^p: the reference evaluates each
     # coordinate term by term with SymPoly.evaluate, over F_3 and F_9
     alg = make_algebra("sl2", 3)
+    # the basis of u_chi: reduced monomials in deglex order
+    monomials = sorted(product(range(alg.p), repeat=alg.n), key=deglex_key)
     rng = random.Random(0)
     for field in (prime_field(3), galois_field(3, 2, seed=1)):
         chi = Character(tuple(field.random_nonzero(rng) for _ in range(alg.n)))
-        u = reduced_algebra(alg, chi)
-        module = regular_representation(u)
+        module = regular_representation(alg, chi)
         xi = [c**alg.p for c in chi.chi]
         for i in range(alg.n):
-            for col, mono in enumerate(u.monomials):
+            for col, mono in enumerate(monomials):
                 elem = ue_gen(alg, i) * ue_monomial(alg, mono)
                 coords = center.zp_coordinates(elem, alg).coordinates
-                want = [coords[m].evaluate(xi) if m in coords else field.zero for m in u.monomials]
-                got = [module.mats[i][row][col] for row in range(u.dimension)]
+                want = [coords[m].evaluate(xi) if m in coords else field.zero for m in monomials]
+                got = [module.mats[i][row][col] for row in range(module.dimension)]
                 if field.e == 1:
                     got = [field.from_int(int(c)) for c in got]
                 assert got == want, (field, i, mono)
@@ -101,24 +100,22 @@ def test_regular_representation_columns_are_specialized_coordinates(make_algebra
 def test_dimension_cap(make_algebra):
     # exactly at the cap is allowed: p^n = 5^4 = 625
     alg = make_algebra("gl2", 5)
-    reduced_algebra(alg, chi_of(alg, 0, 0, 0, 0))
+    assert regular_representation(alg, chi_of(alg, 0, 0, 0, 0)).dimension == 625
     big = make_algebra("abelian:6", 3)
     assert big.p**big.n > redenv.DIM_CAP
     with pytest.raises(DimensionCap):
-        reduced_algebra(big, chi_of(big, 0, 0, 0, 0, 0, 0))
+        regular_representation(big, chi_of(big, 0, 0, 0, 0, 0, 0))
 
 
 def test_abelian_rank_one_local(make_algebra):
     alg = make_algebra("abelian:1", 3)
-    u = reduced_algebra(alg, chi_of(alg, 0))
-    rep = split_simples(regular_representation(u), seed=0)
+    rep = split_simples(regular_representation(alg, chi_of(alg, 0)), seed=0)
     assert rep.dims == (1, 1, 1)
 
 
 def test_abelian_p2_jordan_block(make_algebra):
     alg = make_algebra("abelian:1", 2)
-    u = reduced_algebra(alg, chi_of(alg, 0))
-    module = regular_representation(u)
+    module = regular_representation(alg, chi_of(alg, 0))
     a = module.mats[0]
     assert a.shape == (2, 2)
     assert ((a @ a) % 2 == 0).all()
@@ -129,18 +126,17 @@ def test_identity_generates_regular_module(make_algebra):
     from kw1.redenv import _spin
 
     alg = make_algebra("heisenberg", 2)
-    u = reduced_algebra(alg, chi_of(alg, 0, 0, 0))
-    module = regular_representation(u)
+    module = regular_representation(alg, chi_of(alg, 0, 0, 0))
     ops = ops_for(module.field)
     e_one = np.zeros(module.dimension, dtype=np.int64)
-    e_one[u.index[(0, 0, 0)]] = 1
+    e_one[0] = 1  # the unit, first of the reduced monomials in deglex order
     spun = _spin(ops, [e_one], module.mats, module.dimension)
     assert spun.dim == module.dimension
 
 
 def test_heisenberg_p2_chi0_nilpotent(make_algebra):
     alg = make_algebra("heisenberg", 2)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 0)))
+    module = regular_representation(alg, chi_of(alg, 0, 0, 0))
     assert module.dimension == 8
     for a in module.mats:
         power = a.copy()
@@ -153,7 +149,7 @@ def test_heisenberg_p2_chi0_nilpotent(make_algebra):
 
 def test_heisenberg_p3_central_character(make_algebra):
     alg = make_algebra("heisenberg", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 1)))
+    module = regular_representation(alg, chi_of(alg, 0, 0, 1))
     rep = split_simples(module, seed=0)
     assert rep.dims == (3,) * 9
     assert not rep.degraded
@@ -187,7 +183,7 @@ def test_heisenberg_explicit_irreducible_module():
 
 def test_sl2_p3_restricted_dims(make_algebra):
     alg = make_algebra("sl2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 0)))
+    module = regular_representation(alg, chi_of(alg, 0, 0, 0))
     rep = split_simples(module, seed=0)
     assert sum(rep.dims) == 27
     assert set(rep.dims) == {1, 2, 3}
@@ -196,7 +192,7 @@ def test_sl2_p3_restricted_dims(make_algebra):
 def test_sl2_p3_artin_schreier_escalation(make_algebra):
     # chi(h) = 1 forces h-eigenvalues into F_27; factors split only there
     alg = make_algebra("sl2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 0, 0)))
+    module = regular_representation(alg, chi_of(alg, 1, 0, 0))
     rep = split_simples(module, seed=0)
     assert rep.dims == (3,) * 9
     assert not rep.degraded
@@ -213,9 +209,9 @@ def test_structural_escalation_matches_split_over_f27(make_algebra, name, values
     # module over F_27 (the extension-field backend) must find them
     alg = make_algebra(name, 3)
     f27 = galois_field(3, 3)
-    over_f3 = split_simples(regular_representation(reduced_algebra(alg, chi_of(alg, *values))))
+    over_f3 = split_simples(regular_representation(alg, chi_of(alg, *values)))
     chi27 = chi_of(alg, *values, field=f27)
-    over_f27 = split_simples(regular_representation(reduced_algebra(alg, chi27)))
+    over_f27 = split_simples(regular_representation(alg, chi27))
     assert over_f3.dims == over_f27.dims == dims
     assert sorted(over_f3.factors) == sorted(over_f27.factors)
     assert {order for _d, order in over_f3.factors} == {27}
@@ -229,7 +225,7 @@ def test_escalation_never_leaves_the_prime_field(make_algebra, monkeypatch, name
 
     monkeypatch.setattr(matops, "ExtOps", no_extension_backend)
     alg = make_algebra(name, 3)
-    rep = split_simples(regular_representation(reduced_algebra(alg, chi_of(alg, *values))))
+    rep = split_simples(regular_representation(alg, chi_of(alg, *values)))
     assert rep.dims == dims
 
 
@@ -260,7 +256,7 @@ def test_good_factor_spins_one_kernel_vector(monkeypatch):
 def test_burnside_divisibility_self_check(make_algebra, monkeypatch):
     monkeypatch.setattr(redenv, "_algebra_dimension", lambda ops, mats, d: d * d - 1)
     alg = make_algebra("sl2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 0, 0)))
+    module = regular_representation(alg, chi_of(alg, 1, 0, 0))
     with pytest.raises(SelfCheckFailure, match="Burnside"):
         split_simples(module)
     # nonabelian2@3 counts only on characters with a top of 1, which the
@@ -273,7 +269,7 @@ def test_undecided_piece_draws_from_its_whole_matrix_algebra(make_algebra, capsy
     # irreducible over F_2 with End = F_4; elements built from the
     # generators rarely certify one, and seeds 1, 4 and 5 ran out of them
     alg = make_algebra("gl2", 2)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 0, 0, 0)))
+    module = regular_representation(alg, chi_of(alg, 1, 0, 0, 0))
     for seed in range(6):
         report = split_simples(module, seed=seed)
         assert report.dims == (2,) * 8 and set(report.factors) == {(2, 4)}, seed
@@ -292,7 +288,7 @@ def test_split_dims_sum_invariant(make_algebra):
         for _ in range(5):
             chi = Character(tuple(f.from_int(rng.randrange(p)) for _ in range(alg.n)))
             rep = split_simples(
-                regular_representation(reduced_algebra(alg, chi)), seed=1
+                regular_representation(alg, chi), seed=1
             )
             assert sum(rep.dims) == p**alg.n
 
@@ -304,7 +300,7 @@ def test_extension_character(make_algebra):
 
     rng = random.Random(8)
     chi = Character((f9.zero, f9.random_nonzero(rng)))
-    module = regular_representation(reduced_algebra(alg, chi))
+    module = regular_representation(alg, chi)
     rep = split_simples(module, seed=0)
     assert sum(rep.dims) == 9
     assert max(rep.dims) == 3
@@ -337,12 +333,12 @@ def test_prime_ops_rejects_extension_fields():
 
 def test_prime_character_coordinates_are_int_residues(make_algebra):
     alg = make_algebra("sl2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 2, 0)))
+    module = regular_representation(alg, chi_of(alg, 1, 2, 0))
     for a in module.mats:
         assert a.dtype == np.int64 and a.any()
         assert ((0 <= a) & (a < alg.p)).all()
     ext = galois_field(3, 2)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 1, 2, 0, field=ext)))
+    module = regular_representation(alg, chi_of(alg, 1, 2, 0, field=ext))
     for a in module.mats:
         assert all(c.field is ext for row in a for c in row)
 
@@ -479,7 +475,7 @@ def reference_cases(make_algebra):
         alg = make_algebra(name, p)
         field = prime_field(p) if e == 1 else galois_field(p, e, seed=3)
         chi = Character(tuple(field.elem([v, 1]) if e > 1 else field.from_int(v) for v in values))
-        module = regular_representation(reduced_algebra(alg, chi))
+        module = regular_representation(alg, chi)
         ops = ops_for(module.field)
         d = module.dimension
         r = random.Random(d)
@@ -626,7 +622,7 @@ def test_meataxe_path_pinned(make_algebra, monkeypatch):
         key = (name, values)
         if key not in modules:
             alg = make_algebra(name, 3)
-            modules[key] = regular_representation(reduced_algebra(alg, chi_of(alg, *values)))
+            modules[key] = regular_representation(alg, chi_of(alg, *values))
         attempts.clear()
         report = split_simples(modules[key], seed=seed)
         want = redenv.SplitReport(
@@ -646,7 +642,7 @@ def test_one_backend_per_split_and_per_sampling_run(make_algebra, monkeypatch):
 
     monkeypatch.setattr(redenv, "ops_for", counted)
     alg = make_algebra("sl2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 0)))
+    module = regular_representation(alg, chi_of(alg, 0, 0, 0))
     assert len(split_simples(module).dims) > 2
     assert built == [module.field]
     built.clear()
@@ -660,7 +656,7 @@ def test_one_backend_per_split_and_per_sampling_run(make_algebra, monkeypatch):
 
 def test_split_simples_rejects_a_backend_over_another_field(make_algebra):
     alg = make_algebra("nonabelian2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 1)))
+    module = regular_representation(alg, chi_of(alg, 0, 1))
     with pytest.raises(CoefficientFieldMismatch, match="backend"):
         split_simples(module, ops=ops_for(prime_field(5)))
 
@@ -716,7 +712,7 @@ def test_pruning_still_splits_pieces_above_the_burnside_cap(make_algebra, monkey
     # must be split
     monkeypatch.setattr(redenv, "BURNSIDE_DIM_CAP", 2)
     alg = make_algebra("remark:1:2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 0, 1)))
+    module = regular_representation(alg, chi_of(alg, 0, 0, 1))
     full = split_simples(module, seed=0)
     pruned = split_simples(module, seed=0, above=3)
     assert full.degraded and full.dims == (3,) * 9
@@ -736,7 +732,7 @@ def test_commutator_chain_decides_a_top_of_one(make_algebra, monkeypatch):
         alg = make_algebra(name, p)
         ops = ops_for(prime_field(p))
         for values in product(range(p), repeat=alg.n):
-            module = regular_representation(reduced_algebra(alg, chi_of(alg, *values)))
+            module = regular_representation(alg, chi_of(alg, *values))
             linear = redenv._factors_all_linear(ops, module.mats, module.dimension)
             assert linear == _full_top_is_one(module), (name, values)
             outcomes.add(linear)
@@ -767,7 +763,7 @@ def test_commutator_chain_decides_a_top_of_one(make_algebra, monkeypatch):
 
 def test_split_above_the_module_dimension_reports_no_factors(make_algebra):
     alg = make_algebra("nonabelian2", 3)
-    module = regular_representation(reduced_algebra(alg, chi_of(alg, 0, 1)))
+    module = regular_representation(alg, chi_of(alg, 0, 1))
     report = split_simples(module, seed=0, above=module.dimension)
     assert report == redenv.SplitReport(dims=(), factors=(), degraded=False)
 
@@ -786,7 +782,7 @@ def _oracle_splitting_every_sample(alg, samples, seed):
         ops = ops_for(field)
         best, witness, seen, degraded = 0, None, [], False
         for chi in redenv._characters(alg, field, samples, rng):
-            module = regular_representation(reduced_algebra(alg, chi))
+            module = regular_representation(alg, chi)
             report = split_simples(module, seed=derive_seed(tag, seed, chi.render()), ops=ops)
             top = max(report.dims)
             degraded = degraded or report.degraded
@@ -855,8 +851,8 @@ def test_oracle_on_the_pruning_pairs_matches_splitting_every_sample(make_algebra
 
 def test_oracle_splits_each_distinct_character_once(make_algebra, monkeypatch):
     sampled, built, splits = [], [], []
-    real_characters, real_reduced, real_split = (
-        redenv._characters, redenv.reduced_algebra, redenv.split_simples
+    real_characters, real_regular, real_split = (
+        redenv._characters, redenv.regular_representation, redenv.split_simples
     )
 
     def characters(*args):
@@ -864,16 +860,16 @@ def test_oracle_splits_each_distinct_character_once(make_algebra, monkeypatch):
         sampled.append(chis)
         return chis
 
-    def reduced(alg, chi):
+    def regular(alg, chi):
         built.append(chi)
-        return real_reduced(alg, chi)
+        return real_regular(alg, chi)
 
     def split(*args, **kwargs):
         splits.append(1)
         return real_split(*args, **kwargs)
 
     monkeypatch.setattr(redenv, "_characters", characters)
-    monkeypatch.setattr(redenv, "reduced_algebra", reduced)
+    monkeypatch.setattr(redenv, "regular_representation", regular)
     monkeypatch.setattr(redenv, "split_simples", split)
     monkeypatch.setattr(redenv, "index_generic", lambda alg, trials, seed: 0)
     for name, p in DISTINCT_PAIRS + (("abelian:2", 2),):
