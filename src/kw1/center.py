@@ -117,6 +117,8 @@ MATRIX_BYTES_CAP = 1 << 30
 RANK_TRIALS = 3
 # random trials of the generic index, printed as ``indexTrials``
 INDEX_TRIALS = 3
+# blocked F_p rows the spin specializes and clears per exact product
+_SPAN_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +524,10 @@ def _check_spin_budget(dim: int, rows: int, width: int):
 
     ``width`` is the blocked width.  Its buffer holds at most twice its
     rows (8 at first) and at most ``width``, with one old copy alive while
-    it grows or widens; eight arrays of a ``linalg._RANK_BLOCK``-row block.
+    it grows or widens; eight arrays of a ``_SPAN_BLOCK``-row block.
     """
     held = min(max(8, 2 * (dim + rows)), width)
-    nbytes = 8 * width * (2 * held + 8 * min(rows, linalg._RANK_BLOCK))
+    nbytes = 8 * width * (2 * held + 8 * min(rows, _SPAN_BLOCK))
     if nbytes > MATRIX_BYTES_CAP:
         raise DegreeBoundTooLargeForMemory(
             nbytes, MATRIX_BYTES_CAP, unit="bytes of specialized rank matrices"
@@ -561,7 +563,7 @@ class _Span:
         _check_spin_budget(echelon.dim, len(rows) * e, cols * e)
         echelon.widen(cols * e)
         grown = []
-        step = max(1, linalg._RANK_BLOCK // e)
+        step = max(1, _SPAN_BLOCK // e)
         for lo in range(0, len(rows), step):
             chunk = rows[lo:lo + step]
             big, coeffs = linalg.blocked_form(len(chunk), cols, field)
@@ -571,8 +573,8 @@ class _Span:
             # of them per exact product, so insert_all forms no product
             lead = block[:, echelon.pivots]
             used = np.flatnonzero(lead.any(axis=0))
-            for k in range(0, used.size, linalg._RANK_BLOCK):
-                u = used[k:k + linalg._RANK_BLOCK]
+            for k in range(0, used.size, _SPAN_BLOCK):
+                u = used[k:k + _SPAN_BLOCK]
                 block = (block - linalg.matmul_modp(lead[:, u], echelon.rows[u], field.p)) % field.p
             grown += [chunk[j // e] for j in echelon.insert_all(block)[::e]]
             if self.rank == full:

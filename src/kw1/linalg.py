@@ -1,31 +1,28 @@
 """Exact linear algebra over Fraction, F_p, and F_{p^e}.
 
-Two row reductions:
+Each row reduction serves one load:
 
-* ``_eliminate``: numpy int64 matrices reduced mod p, with vectorized
-  row operations, for the center nullspace and the ranks here.  A rank
-  over F_{p^e} goes through the blocked form, which embeds each F_{p^e}
-  entry as its e x e multiplication matrix over F_p
-  (``rank_coefficient_array`` takes the entries as a (rows, cols, e)
-  int64 array; ``blocked_form`` lets a caller write them into block
-  column 0 directly, and ``_fill_blocks`` fills the other block
-  columns).  The verdict's spin reduces such blocked rows by its own
-  echelons (``center._Span``).  Solves are over F_p only.
+* ``_eliminate``: a whole numpy int64 matrix reduced mod p, with
+  vectorized row operations.  It serves ``rref_modp``, the nullspaces
+  and solves over F_p (solves are over F_p only), and every rank over
+  F_p or F_{p^e} (``rank``).  A rank over F_{p^e} is taken of the blocked
+  form, which embeds each F_{p^e} entry as its e x e multiplication
+  matrix over F_p (``blocked_form`` lets a caller write the coefficients
+  into block column 0 directly, and ``_fill_blocks`` fills the other
+  block columns).  The center's commutator matrix is taken by its
+  nonzero entries (``nullspace_rref_sparse``): it is graded and so
+  block-diagonal up to order, so each connected column component is one
+  elimination of its dense block, and no dense copy of the whole matrix
+  is built.
 * ``rref_ff``: one list RREF for scalars with field arithmetic and
   ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
   ``FFElem`` for nullspaces over extensions.
 
-Two kernels are fitted to the matrices they get:
-
-* Ranks (``rank_modp``, ``rank_coefficient_array``) of matrices taller
-  than ``_RANK_BLOCK`` rows are blocked: each block of rows is cleared
-  against the echelon so far by products, then reduced by
-  ``_eliminate``, so tall, low-rank matrices cost rank-1 updates on
-  blocks only (``_rank_reduced``).
-* ``nullspace_rref_sparse`` takes a matrix by its nonzero entries and
-  solves one connected column component at a time.  The commutator
-  matrices of the center are graded and so block-diagonal up to order;
-  no dense copy of them is built.
+Two F_p reductions live elsewhere, each for its own load: the MeatAxe's
+incremental spins insert one vector at a time into
+``matops.PrimeEchelon``, and the verdict's spin (``center._Span``) clears
+wide blocks of blocked rows against that echelon by ``matmul_modp``
+products before inserting them.
 
 Products go through ``matmul_modp``: float64 BLAS while
 k (p - 1)^2 < 2^53 for inner dimension k, where every partial sum is an
@@ -56,8 +53,6 @@ from .fields import GF, QQ
 # ---------------------------------------------------------------------------
 
 LARGEST_EXACT_PRIME = 3037000493
-# rows per block of the blocked rank; a matrix this short is not blocked
-_RANK_BLOCK = 64
 
 
 def require_exact_prime(p: int) -> None:
@@ -154,53 +149,8 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _rank_reduced(m: np.ndarray, p: int) -> int:
-    """Rank of ``m``, already reduced mod p; ``m`` is overwritten.
-
-    Rows are taken ``_RANK_BLOCK`` at a time.  The echelon E found so far
-    is kept in the top rows of ``m`` (at most one row per row read, so it
-    never reaches a row not yet read), in reduced form on its pivot
-    columns.  Products B - B[:, pivots] . E clear those columns from a
-    block B; ``_eliminate`` puts the rest of B in reduced form; products
-    E - E[:, new] . B clear its new pivot columns from E.  Each product
-    involves only the rows of E that meet a nonzero, ``_RANK_BLOCK`` of
-    them at a time, so a sparse matrix stays cheap and no temporary is
-    larger than a block.  A tall matrix of low rank r costs rank-1
-    updates on blocks only, and r-deep products for the rest.
-    """
-    rows, cols = m.shape
-    if rows <= _RANK_BLOCK:
-        return len(_eliminate(m, p, reduce_above=False))
-    pivots: list = []
-    for lo in range(0, rows, _RANK_BLOCK):
-        r = len(pivots)
-        block = m[lo:lo + _RANK_BLOCK]
-        lead = block[:, pivots]
-        used = np.flatnonzero(lead.any(axis=0))
-        for k in range(0, used.size, _RANK_BLOCK):
-            u = used[k:k + _RANK_BLOCK]
-            block = (block - matmul_modp(lead[:, u], m[u], p)) % p
-        if not block.any():
-            continue
-        # row operations keep a zero column zero: eliminate on the others
-        live = np.flatnonzero(block.any(axis=0))
-        dense = block[:, live]
-        new = live[_eliminate(dense, p, reduce_above=True)].tolist()
-        fresh = np.zeros((len(new), cols), dtype=np.int64)
-        fresh[:, live] = dense[: len(new)]
-        hit = np.flatnonzero(m[:r, new].any(axis=1))
-        for k in range(0, hit.size, _RANK_BLOCK):
-            h = hit[k:k + _RANK_BLOCK]
-            m[h] = (m[h] - matmul_modp(m[h][:, new], fresh, p)) % p
-        m[r:r + len(new)] = fresh
-        pivots += new
-        if len(pivots) == cols:
-            break
-    return len(pivots)
-
-
 def rank_modp(a: np.ndarray, p: int) -> int:
-    return _rank_reduced(a % p, p)
+    return len(_eliminate(a % p, p, reduce_above=False))
 
 
 def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
@@ -347,7 +297,7 @@ def rank_ff(rows, field) -> int:
     """Rank by ``rref_ff``.
 
     ``rank`` uses it over QQ; over F_{p^e} it is the tests' reference for
-    the blocked kernel.
+    the blocked form's rank.
     """
     return len(rref_ff(rows, field)[1])
 
@@ -368,11 +318,6 @@ def nullspace_ff(rows, field: GF):
             v[pc] = -r[i][c]
         basis.append(v)
     return basis
-
-
-def _coefficients(rows) -> np.ndarray:
-    """The (rows, cols, e) int64 coefficient array of rows of ``FFElem``."""
-    return np.array([[x.coeffs for x in row] for row in rows], dtype=np.int64)
 
 
 def blocked_form(nrows: int, ncols: int, field: GF):
@@ -415,22 +360,6 @@ def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
     return big
 
 
-def rank_coefficient_array(coeffs: np.ndarray, field: GF) -> int:
-    """Rank over F_{p^e} of a (rows, cols, e) coefficient array, any e >= 1.
-
-    The F_p-rank of the blocked form is e times the rank.
-    """
-    if not coeffs.size:
-        return 0
-    e = field.e
-    big, first = blocked_form(coeffs.shape[0], coeffs.shape[1], field)
-    first[...] = coeffs
-    r = _rank_reduced(_fill_blocks(big, field), field.p)
-    if r % e:
-        raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
-    return r // e
-
-
 # ---------------------------------------------------------------------------
 # dispatching wrappers
 # ---------------------------------------------------------------------------
@@ -443,4 +372,11 @@ def rank(rows, field) -> int:
         return rank_ff([[Fraction(x) for x in r] for r in rows], QQ)
     if field.e == 1:
         return rank_modp(to_modp_array(rows, field), field.p)
-    return rank_coefficient_array(_coefficients(rows), field)
+    # the F_p-rank of the blocked form is e times the rank
+    e = field.e
+    big, first = blocked_form(len(rows), len(rows[0]), field)
+    first[...] = [[x.coeffs for x in row] for row in rows]
+    r = len(_eliminate(_fill_blocks(big, field), field.p, reduce_above=False))
+    if r % e:
+        raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")
+    return r // e

@@ -5,6 +5,13 @@ vectorized numpy backend for prime fields (the hot path) and an
 elementwise FFElem backend for extensions.  Vectors are 1-D, matrices
 2-D, and modules use the column convention: the action sends v to A.v.
 
+The interface: matrix arithmetic (``identity``, ``matmul``, ``matvec``,
+``add``, ``scale``, ``combination``, ``transpose``, ``submatrix``,
+``stack``, ``vstack``, ``reshape``, ``vec_is_zero``), random draws
+(``random_scalar``, ``random_vector``), an echelon (``new_echelon``), a
+nullspace basis (``nullspace``; a nullity is its length),
+``poly_eval``, ``krylov_minpoly`` and ``iter_factors``.
+
 Echelon states are kept in full reduced row echelon form with a pivot
 list, so submodule restriction and quotient coordinates can be read off
 entries directly.  The prime backend stores the echelon rows in the top
@@ -279,9 +286,6 @@ class PrimeOps:
         basis = linalg.nullspace_modp(np.asarray(a, dtype=np.int64), self.p)
         return [basis[i] for i in range(basis.shape[0])]
 
-    def nullity(self, a):
-        return a.shape[1] - linalg.rank_modp(np.asarray(a, dtype=np.int64), self.p)
-
     def poly_eval(self, coeffs, r):
         """Matrix polynomial by Horner; coeffs little endian ints."""
         d = r.shape[0]
@@ -418,9 +422,6 @@ class ExtOps:
 
     def nullspace(self, a):
         return linalg.nullspace_ff(a, self.field)
-
-    def nullity(self, a):
-        return len(a[0]) - linalg.rank(a, self.field)
 
     def poly_eval(self, coeffs, r):
         f = self.field

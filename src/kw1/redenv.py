@@ -364,7 +364,7 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
         for f in factors:
             deg = len(f) - 1
             n_mat = ops.poly_eval(f, r)
-            if ops.nullity(n_mat) == deg:
+            if len(ops.nullspace(n_mat)) == deg:
                 bound = gcd(bound, deg)
                 if bound == 1:
                     return 1

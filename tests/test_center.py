@@ -457,7 +457,7 @@ def test_gathered_rows_match_evaluate(e):
                 ]
                 assert [list(v) for v in got[r]] == [list(w.coeffs) for w in want]
                 rows.append(want)
-            assert linalg.rank_coefficient_array(got, field) == linalg.rank_ff(rows, field)
+            assert linalg.rank(rows, field) == linalg.rank_ff(rows, field)
             picked = [len(maps) - 1, 0, 2]
             assert np.array_equal(terms.values(point, field, rows=picked), got[picked])
 

@@ -124,40 +124,13 @@ def test_blocked_matrix_blocks_are_mul_matrices():
         field = galois_field(p, e)
         for a in _ext_matrices(field, rng):
             big, first = linalg.blocked_form(len(a), len(a[0]), field)
-            first[...] = linalg._coefficients(a)
+            first[...] = [[x.coeffs for x in row] for row in a]
             linalg._fill_blocks(big, field)
             assert big.shape == (len(a) * e, len(a[0]) * e)
             for i, row in enumerate(a):
                 for j, x in enumerate(row):
                     block = big[i * e:(i + 1) * e, j * e:(j + 1) * e]
                     assert block.tolist() == field.mul_matrix(x)
-
-
-def test_blocked_rank_peak_stays_near_the_budgeted_bytes():
-    import tracemalloc
-
-    # the (rows, cols, e) coefficient array and its blocked form take
-    # 8 rows cols e (e + 1) bytes; the blocked form is built without
-    # full-size temporaries, and the rank's own are per block
-    rows, cols = 3000, 100
-    for e in (2, 3, 4):
-        field = galois_field(7, e)
-        tracemalloc.start()
-        try:
-            coeffs = np.random.default_rng(e).integers(0, 7, size=(rows, cols, e), dtype=np.int64)
-            assert linalg.rank_coefficient_array(coeffs, field) == cols
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 8 * rows * cols * e * (e + 1), e
-        corner = coeffs[:6, :5]
-        big, first = linalg.blocked_form(*corner.shape[:2], field)
-        first[...] = corner
-        linalg._fill_blocks(big, field)
-        for i, row in enumerate(corner):
-            for j, x in enumerate(row):
-                block = big[i * e:(i + 1) * e, j * e:(j + 1) * e]
-                assert block.tolist() == field.mul_matrix(field.elem(x)), e
 
 
 def test_blocked_rank_self_check(monkeypatch):
@@ -252,8 +225,7 @@ def test_kernels_exact_at_the_largest_prime():
 
 
 # ---------------------------------------------------------------------------
-# the product helper and the blocked rank, against exact integers and the
-# unblocked elimination
+# the product helper and the elimination, against exact integers
 # ---------------------------------------------------------------------------
 
 # float64 products (p = 2, 7, 65521), int64 chunks of two columns
@@ -299,7 +271,7 @@ def test_matmul_modp_float_bound_boundary():
 
 
 def _rank_shapes(p, rng):
-    """Matrices taller than one block: tall, wide, low rank, sparse, repeats."""
+    """Tall, wide, low rank, sparse, repeated and zero matrices."""
     def rand(r, c):
         return rng.integers(0, p, (r, c), dtype=np.int64)
 
@@ -308,7 +280,7 @@ def _rank_shapes(p, rng):
     zeros[rng.choice(150, 60, replace=False)] = 0
     base = rand(30, 50)
     dup = base[rng.integers(0, 30, 200)]
-    # one row times scalars: every later block meets a single echelon row
+    # one row times scalars: rank 1
     line = rng.integers(1, p, (140, 1), dtype=np.int64) * rand(1, 20) % p
     sparse = np.zeros((300, 120), dtype=np.int64)
     sparse[np.arange(300), rng.integers(0, 120, 300)] = rng.integers(1, p, 300)
@@ -318,12 +290,12 @@ def _rank_shapes(p, rng):
 
 
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
-def test_blocked_rank_matches_eliminate(p):
+def test_rank_modp_exact_on_tall_shapes(p):
     rng = np.random.default_rng(p % 1000)
     for a in _rank_shapes(p, rng):
-        assert a.shape[0] > linalg._RANK_BLOCK
-        want = len(linalg._eliminate(a % p, p, reduce_above=False))
-        assert linalg.rank_modp(a, p) == want, (p, a.shape)
+        null = linalg.nullspace_modp(a, p)
+        assert linalg.rank_modp(a, p) + len(null) == a.shape[1], (p, a.shape)
+        assert not _exact_product(a, null.T, p).any(), (p, a.shape)
 
 
 def test_blocked_rank_over_an_extension():
@@ -336,7 +308,6 @@ def test_blocked_rank_over_an_extension():
             [sum((row[k] * right[k][j] for k in range(3)), field.zero) for j in range(8)]
             for row in left
         ]
-        assert len(a) * e > linalg._RANK_BLOCK
         assert linalg.rank(a, field) == linalg.rank_ff(a, field)
 
 

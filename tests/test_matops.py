@@ -76,7 +76,7 @@ def test_krylov_minpoly_is_the_minimal_annihilator():
         krylov = [v % p]
         for _ in range(d):
             krylov.append(ops.matvec(r, krylov[-1]))
-        rank = len(krylov) - ops.nullity(np.array(krylov).T)
+        rank = len(krylov) - len(ops.nullspace(np.array(krylov).T))
         assert len(minpoly) - 1 == rank
 
 

@@ -10,9 +10,14 @@ A module-level ``_private`` name or ALL-CAPS constant (assigned, or
 defined by ``def`` or ``class``) counts as referenced when any module of
 the library reads it as a ``Name``, an attribute or an imported name;
 tests do not count.
+
+A method of a ``matops`` class or of a private class, dunders aside,
+counts as reached when some attribute access in the library names it.
+An override of a base-class method is exempt: the base class calls it.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -101,6 +106,69 @@ def test_library_has_no_dead_private_names_or_constants():
     assert trees
     dead = _dead_names(trees)
     assert not dead, f"private names or constants nothing in the library reads: {dead}"
+
+
+def _methods(tree, module):
+    """(class, method, line) of each non-dunder method of a class the check covers."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (module == "matops" or node.name.startswith("_")):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield node.name, item.name, item.lineno
+
+
+def _dead_methods(trees, namespaces):
+    """Covered methods no attribute access reaches; ``namespaces`` holds the live classes."""
+    reached = {
+        node.attr for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+    dead = []
+    for path, tree in trees.items():
+        for cls, name, line in _methods(tree, path.stem):
+            bases = namespaces[path][cls].__mro__[1:]
+            if name not in reached and not any(name in vars(base) for base in bases):
+                dead.append(f"{path}:{line} {cls}.{name}")
+    return dead
+
+
+def test_library_has_no_unreached_methods():
+    trees = {
+        path.relative_to(SRC): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("**/*.py"))
+        if path.name != "__init__.py"
+    }
+    namespaces = {
+        path: vars(importlib.import_module(".".join(("kw1",) + path.with_suffix("").parts)))
+        for path in trees
+    }
+    dead = _dead_methods(trees, namespaces)
+    assert not dead, f"methods nothing in the library reaches: {dead}"
+
+
+def test_the_check_sees_an_unreached_method():
+    sources = {
+        Path("m.py"): (
+            "import argparse\n\n"
+            "class _Table:\n    def used(self):\n        return 1\n\n"
+            "    def dead(self):\n        return 2\n\n"
+            "    def __len__(self):\n        return 0\n\n"
+            "class _Parser(argparse.ArgumentParser):\n    def error(self, message):\n        raise SystemExit(message)\n\n"
+            "class Public:\n    def dead(self):\n        return 3\n\n"
+            "def run(t, ops):\n    return t.used() + len(ops.nullspace(t))\n"
+        ),
+        Path("matops.py"): (
+            "class ExtOps:\n    def nullspace(self, a):\n        return a\n\n"
+            "    def nullity(self, a):\n        return 0\n"
+        ),
+    }
+    trees = {path: ast.parse(src) for path, src in sources.items()}
+    namespaces = {}
+    for path, src in sources.items():
+        namespaces[path] = {}
+        exec(compile(src, str(path), "exec"), namespaces[path])
+    assert _dead_methods(trees, namespaces) == ["m.py:7 _Table.dead", "matops.py:5 ExtOps.nullity"]
 
 
 def test_the_check_sees_a_dead_name():
