@@ -24,7 +24,8 @@ the same specialization at xi = chi^p (``redenv.regular_representation``).
 model: the rank of A = F_p[x_1..x_n] over B . A^p.  Its generating set
 is exact: for g in A, g^p = g(x^p) lies in A^p, so B . A^p is spanned
 over A^p by the products prod_j g_j^{k_j} with 0 <= k_j < p, which are
-ranked once.
+ranked once.  A is U(abelian:n) with the zero p-map, where xi_i = x_i^p,
+so the coordinates over A^p are ``zp_coordinates``.
 
 The verdict reads the rank of the algebra the degree <= D slice of the
 center generates with a spin (``_spin_ranks``), run at one point after
@@ -94,7 +95,7 @@ from .errors import (
     ZeroElement,
 )
 from .fields import GF, galois_field, prime_field, reduce_sparse, render_poly_modp
-from .liealg import ModularLieAlgebra, index_generic
+from .liealg import ModularLieAlgebra, RestrictedStructure, index_generic
 from .matops import PrimeEchelon
 from .pbw import (
     SymPoly,
@@ -340,12 +341,12 @@ def _commutator_entries(alg: ModularLieAlgebra, monos, index):
     return rows, cols, vals
 
 
-def _center_space(alg: ModularLieAlgebra, bound: int, cap: int = MONOMIAL_CAP):
+def _center_space(alg: ModularLieAlgebra, bound: int):
     """Exact nullspace of the stacked commutator maps on degree <= bound."""
     n = alg.n
     count = monomial_count(n, bound)
-    if count > cap:
-        raise DegreeBoundTooLargeForMemory(count, cap)
+    if count > MONOMIAL_CAP:
+        raise DegreeBoundTooLargeForMemory(count, MONOMIAL_CAP)
     _check_matrix_budget(n, count)
     monos = sorted(monomials_upto(n, bound), key=deglex_key, reverse=True)
     index = {m: k for k, m in enumerate(monos)}
@@ -727,28 +728,6 @@ def fraction_field_degree(
 # commutative Frobenius-subring rank checker
 # ---------------------------------------------------------------------------
 
-def _frobenius_coordinates(f: SymPoly, p: int):
-    """Coordinates of f in the free module over p-th powers.
-
-    Each exponent splits as a = p q + r with r < p; the x^r part
-    indexes the coordinate and the q part lives in the polynomial ring
-    of p-th powers.
-    """
-    coords: dict = {}
-    for exps, c in f.terms.items():
-        r = tuple(a % p for a in exps)
-        q = tuple(a // p for a in exps)
-        bucket = coords.setdefault(r, {})
-        bucket[q] = bucket.get(q, 0) + c
-    modulus = f.field.residue_modulus
-    out = {}
-    for r, bucket in coords.items():
-        terms = reduce_sparse(bucket, modulus)
-        if terms:
-            out[r] = SymPoly._reduced(f.field, f.n, terms)
-    return out
-
-
 def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int = 0) -> int:
     """Rank of the polynomial ring A over B . A^p, by specialization.
 
@@ -798,7 +777,12 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
             columns.update(tuple(a % p for a in exps) for exps, _ in key)
         products = grown
         _check_spin_budget(0, len(products), len(columns))
-    maps = [_frobenius_coordinates(f, p) for f in products.values()]
+    ring = ModularLieAlgebra(
+        "A", [f"x{i}" for i in range(1, num_vars + 1)], p, {},
+        restricted=RestrictedStructure(rows=((0,) * num_vars,) * num_vars),
+    )
+    maps = [zp_coordinates(UEElement._reduced(ring, f.terms), ring).coordinates
+            for f in products.values()]
     r = _specialized_rank(
         _CoordinateTerms(maps, num_vars), p, num_vars,
         "frob-field", seed, derive_seed("frob-points", p, num_vars, seed),
@@ -855,8 +839,6 @@ def kw1_verdict(
     alg: ModularLieAlgebra,
     degree_bound: int | None = None,
     seed: int = 0,
-    with_oracle: bool = False,
-    samples: int = 10,
     min_extension: int = 1,
 ) -> KW1Report:
     """Assemble the index, center rank, and bound comparison.
@@ -865,6 +847,10 @@ def kw1_verdict(
                  largest irreducible dimension is pinned exactly;
     inconclusive: the witnessed rank is below p^ind, meaning the center
                  was not fully seen up to the degree bound.
+
+    The center is ranked over a field of degree at least
+    ``min_extension``.  ``oracle_estimate`` is left unset; ``kw1 check
+    --oracle`` fills it from ``redenv.max_irreducible_dim``.
     """
     if alg.restricted is None:
         raise ValueError("algebra carries no restricted structure")
@@ -898,7 +884,7 @@ def kw1_verdict(
         notes.append(
             f"rank {r} < p^ind = {p**ind}: raise the degree bound above {bound}"
         )
-    report = KW1Report(
+    return KW1Report(
         algebra_name=alg.name,
         p=p,
         e=spec_field.e,
@@ -918,9 +904,3 @@ def kw1_verdict(
         index_trials=INDEX_TRIALS,
         notes=tuple(notes),
     )
-    if with_oracle:
-        from .redenv import max_irreducible_dim
-
-        est = max_irreducible_dim(alg, samples=samples, seed=seed)
-        report.oracle_estimate = est.as_dict()
-    return report

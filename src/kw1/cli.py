@@ -5,15 +5,12 @@ oracle, lemma1 (Frobenius-subring rank), examples.  Exit codes of
 ``check``: 0 all reports verified, 2 some report inconclusive, 1 input
 error, 3 internal error.  All randomness is derived from --seed, so a
 repeated invocation produces byte-identical output.
-
-Set KW1_CACHE_DIR to keep the straightening memo between runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass
@@ -31,12 +28,12 @@ from .errors import (
     DuplicateLabel,
     JacobiError,
     KW1Error,
+    NotRestrictable,
     ParseError,
     PrimeOutsideInt64Range,
 )
 from .fields import is_prime
 from .liealg import base_change_mod_p, index_generic, with_p_map
-from .pbw import load_memo, save_memo
 from .redenv import max_irreducible_dim
 from .registry import builtin_examples, get_example, parse_input
 from .reports import render
@@ -49,6 +46,7 @@ _INPUT_ERRORS = (
     DimensionCap,
     DegreeBoundTooLargeForMemory,
     PrimeOutsideInt64Range,
+    NotRestrictable,
     ValueError,
 )
 
@@ -83,14 +81,6 @@ def _prepare(presentation, p):
     return with_p_map(base_change_mod_p(presentation, p), override=presentation.pmap_override)
 
 
-def _memo_path(alg):
-    cache_dir = os.environ.get("KW1_CACHE_DIR")
-    if not cache_dir:
-        return None
-    os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, f"kw1-memo-p{alg.p}-{alg.signature():016x}.pkl")
-
-
 def run(config: RunConfig, presentation):
     """One report per prime, in the order of config.primes.
 
@@ -101,19 +91,15 @@ def run(config: RunConfig, presentation):
     reports = []
     for p in config.primes:
         alg = _prepare(presentation, p)
-        memo_path = _memo_path(alg)
-        if memo_path and os.path.exists(memo_path):
-            load_memo(alg, memo_path)
         report = kw1_verdict(
             alg,
             degree_bound=config.degree_bound,
             seed=config.seed,
-            with_oracle=config.with_oracle,
-            samples=config.samples,
             min_extension=config.ext or 1,
         )
-        if memo_path:
-            save_memo(alg, memo_path)
+        if config.with_oracle:
+            est = max_irreducible_dim(alg, samples=config.samples, seed=config.seed)
+            report.oracle_estimate = est.as_dict()
         reports.append(report)
     code = 0 if all(r.verdict == "verified" for r in reports) else 2
     return reports, code

@@ -19,13 +19,7 @@ class DenominatorDivisibleByP(KW1Error):
 
 
 class NotRestrictable(KW1Error):
-    """(ad x_i)^p is not inner; the algebra admits no p-map."""
-
-    def __init__(self, index, label=None):
-        self.index = index
-        self.label = label
-        who = label if label is not None else f"basis element #{index}"
-        super().__init__(f"(ad {who})^p is not an inner derivation")
+    """The algebra admits no p-map, or its user-given p-map table is wrong."""
 
 
 class CoefficientFieldMismatch(KW1Error):

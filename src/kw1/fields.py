@@ -15,7 +15,7 @@ certified irreducible by the Frobenius gcd criterion, so the triple
 reduction table of t^e .. t^(2e-2) are computed with ``fastpoly``, the
 one F_p polynomial kernel, which is exact at every p inside
 ``linalg.require_exact_prime``; inverses in F_{p^e} are Fermat powers.
-No floating point anywhere.
+No scalar is ever a float.
 """
 
 from __future__ import annotations

@@ -114,8 +114,8 @@ class ModularLieAlgebra:
         )
         self.restricted = restricted
         self._pbw_memo = {}
-        # each constant enters as (i, (c,)): seed derivation and the memo
-        # file name depend on this exact tuple
+        # each constant enters as (i, (c,)): seed derivation depends on
+        # this exact tuple
         self._signature = (
             p,
             self.labels,
@@ -220,8 +220,8 @@ def _pth_power(m: np.ndarray, p: int) -> np.ndarray:
 def _ad_powers(alg: ModularLieAlgebra):
     """(``ad_matrices(alg)``, each (ad x_i)^p), computed once per algebra.
 
-    ``compute_p_map`` and ``verify_restricted`` both read them; they are
-    kept with the algebra's derived caches, which ``save_memo`` skips.
+    ``compute_p_map`` and ``verify_restricted`` both read them from the
+    algebra's derived caches.
     """
     hit = alg._pbw_memo.get("ad-powers")
     if hit is None:
@@ -254,7 +254,7 @@ def compute_p_map(alg: ModularLieAlgebra) -> RestrictedStructure:
     for i in range(alg.n):
         y = _solve_inner_derivation(alg, ads, powers[i])
         if y is None:
-            raise NotRestrictable(i, alg.labels[i])
+            raise NotRestrictable(f"(ad {alg.labels[i]})^p is not an inner derivation")
         rows.append(tuple(y.tolist()))
     return RestrictedStructure(rows=tuple(rows))
 
@@ -286,7 +286,9 @@ def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:
     if override is not None:
         rs = p_map_override_to_structure(alg, override)
         if not verify_restricted(alg, rs):
-            raise NotRestrictable(-1, "user override fails ad(x^[p]) = (ad x)^p")
+            raise NotRestrictable(
+                f"the pmapOverride table fails ad(x^[p]) = (ad x)^p at p = {alg.p}"
+            )
     else:
         rs = compute_p_map(alg)
         if not verify_restricted(alg, rs):

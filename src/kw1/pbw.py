@@ -473,43 +473,6 @@ def sym_from_element(a: UEElement) -> SymPoly:
     return SymPoly._reduced(a.ctx.field, a.ctx.n, dict(a.terms))
 
 
-# ---------------------------------------------------------------------------
-# straightening memo spill (opt-in cache directory)
-# ---------------------------------------------------------------------------
-
-def save_memo(alg, path) -> int:
-    """Spill the core straightening memo to ``path``; returns entry count.
-
-    Coefficients are int residues, so the file is independent of any
-    live field objects.
-    """
-    import pickle
-
-    plain = {}
-    for key, value in alg._pbw_memo.items():
-        if isinstance(key, str):
-            continue  # derived caches are rebuilt, not spilled
-        plain[key] = value
-    with open(path, "wb") as fh:
-        pickle.dump({"p": alg.p, "entries": plain}, fh, protocol=4)
-    return len(plain)
-
-
-def load_memo(alg, path) -> int:
-    """Load a spilled memo written by save_memo; returns entry count."""
-    import pickle
-
-    with open(path, "rb") as fh:
-        data = pickle.load(fh)
-    if data.get("p") != alg.p:
-        return 0
-    count = 0
-    for key, value in data["entries"].items():
-        alg._pbw_memo[key] = reduce_sparse(value, alg.p)
-        count += 1
-    return count
-
-
 def ad_action_sym(ctx, i, f: SymPoly) -> SymPoly:
     """Adjoint action of x_i on Sym(g), extended as a derivation."""
     out = {}

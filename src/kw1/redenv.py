@@ -372,7 +372,7 @@ def _endomorphism_degree(ops, mats, d, rng, first_bound):
         return 1
     if d > BURNSIDE_DIM_CAP:
         return None
-    alg_dim = _algebra_dimension(ops, mats, d)
+    alg_dim = _matrix_algebra(ops, mats, d).dim
     if (d * d) % alg_dim:
         raise SelfCheckFailure(
             f"matrix algebra of dimension {alg_dim} on an irreducible module of "
@@ -394,11 +394,6 @@ def _matrix_algebra(ops, mats, d):
     return _closure(
         ops, [start], lambda w: ops.reshape(ops.matmul(stacked, ops.reshape(w, d)), width), width
     )
-
-
-def _algebra_dimension(ops, mats, d):
-    """Dimension of the unital matrix algebra generated by ``mats``."""
-    return _matrix_algebra(ops, mats, d).dim
 
 
 def _factors_all_linear(ops, mats, d):

@@ -316,6 +316,40 @@ def test_pmap_override_document_flow(tmp_path, capsys):
     assert rep["rankZoverZp"] == 3 and rep["ind"] == 1 and rep["mUpper"] == 1
 
 
+@pytest.mark.parametrize(
+    "doc,prime,message",
+    [
+        # filiform: [a,b] = c, [a,c] = d; (ad a)^2 is not inner at p = 2
+        (
+            {
+                "name": "filiform4",
+                "basis": ["a", "b", "c", "d"],
+                "brackets": [
+                    {"left": "a", "right": "b", "result": {"c": "1"}},
+                    {"left": "a", "right": "c", "result": {"d": "1"}},
+                ],
+            },
+            "2",
+            "(ad a)^p is not an inner derivation",
+        ),
+        (
+            {
+                "name": "heis",
+                "basis": ["x", "y", "z"],
+                "brackets": [{"left": "x", "right": "y", "result": {"z": "1"}}],
+                "pmapOverride": {"x": {"y": "1"}},
+            },
+            "3",
+            "the pmapOverride table fails ad(x^[p]) = (ad x)^p at p = 3",
+        ),
+    ],
+    ids=["no-p-map", "bad-override"],
+)
+def test_algebras_without_a_valid_p_map_are_input_errors(doc, prime, message, capsys):
+    assert main(["check", "--input", json.dumps(doc), "--primes", prime]) == 1
+    assert capsys.readouterr().err == f"kw1: input error: {message}\n"
+
+
 def test_cli_oracle_dimension_cap_is_input_error(capsys):
     assert main(["oracle", "--example", "gl2", "--prime", "7"]) == 1
 
@@ -366,22 +400,6 @@ def test_package_runs_as_a_module_from_the_checkout():
     )
     assert done.returncode == 0, done.stderr
     assert "remark:N:M" in done.stdout
-
-
-def test_cache_dir_memo_spill(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KW1_CACHE_DIR", str(tmp_path))
-    assert main(
-        ["check", "--example", "heisenberg", "--primes", "3", "--seed", "0"]
-    ) == 0
-    first = capsys.readouterr().out
-    files = os.listdir(tmp_path)
-    assert len(files) == 1 and files[0].endswith(".pkl")
-    # second run loads the memo and must produce identical bytes
-    assert main(
-        ["check", "--example", "heisenberg", "--primes", "3", "--seed", "0"]
-    ) == 0
-    second = capsys.readouterr().out
-    assert first == second
 
 
 def test_check_refuses_a_prime_beyond_the_int64_envelope(tmp_path, capsys):

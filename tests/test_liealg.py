@@ -151,9 +151,8 @@ def test_index_matches_brute_force_mod5(name):
 
 
 # alg.signature() at p = 3, 5, 7, as computed when structure constants were
-# prime-field FFElem objects.  Every RNG stream is derived from it, and so is
-# the KW1_CACHE_DIR memo file name, so a change of scalar representation must
-# leave it alone.
+# prime-field FFElem objects.  Every RNG stream is derived from it, so a
+# change of scalar representation must leave it alone.
 PINNED_SIGNATURES = {
     "abelian:2": (0x2a20da301c7621b8, 0x2ae379ca75a48ac6, 0x622fb8c17a2287fb),
     "abelian:4": (0x7a62faa4718e1847, 0x6ba556a397aa69d5, 0x6ba60f7e79f53f60),

@@ -14,6 +14,12 @@ tests do not count.
 A method of a ``matops`` class or of a private class, dunders aside,
 counts as reached when some attribute access in the library names it.
 An override of a base-class method is exempt: the base class calls it.
+
+A defaulted parameter of a ``_private`` function or method counts as
+live when some call in the library to a function of that name passes
+it, by keyword or by position; a call that unpacks ``*args`` or
+``**kwargs`` passes every parameter.  A parameter no call passes is a
+constant in disguise.
 """
 
 import ast
@@ -145,6 +151,76 @@ def test_library_has_no_unreached_methods():
     }
     dead = _dead_methods(trees, namespaces)
     assert not dead, f"methods nothing in the library reaches: {dead}"
+
+
+def _private_functions(tree):
+    """(name, positional parameters a call fills, defaulted parameters, line) of each private def.
+
+    A method called on an instance fills its parameters after ``self``.
+    """
+    methods = {
+        id(item)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not re.fullmatch(r"_[A-Za-z0-9]\w*", node.name):
+            continue
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods:]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        if defaulted:
+            yield node.name, positional, defaulted, node.lineno
+
+
+def _dead_parameters(trees):
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for path, tree in trees.items():
+        for name, positional, defaulted, line in _private_functions(tree):
+            passed = set()
+            for call in calls.get(name, ()):
+                if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords
+                ):
+                    passed.update(defaulted)
+                passed.update(positional[: len(call.args)])
+                passed.update(k.arg for k in call.keywords)
+            dead += [f"{path}:{line} {name}({arg})" for arg in defaulted if arg not in passed]
+    return dead
+
+
+def test_library_has_no_dead_parameters():
+    trees = {
+        path.relative_to(SRC): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("**/*.py"))
+    }
+    assert trees
+    dead = _dead_parameters(trees)
+    assert not dead, f"defaulted parameters no call in the library passes: {dead}"
+
+
+def test_the_check_sees_a_dead_parameter():
+    tree = ast.parse(
+        "def _scale(x, factor=2, *, cap=9, strict=False):\n    return x * factor\n\n"
+        "def _spread(*rows, width=1):\n    return rows\n\n"
+        "class _Table:\n    def _row(self, i, width=3):\n        return i\n\n"
+        "def public(t, ok=True):\n"
+        "    return _scale(1, 3, strict=True) + t._row(0) + _spread(*t)\n"
+    )
+    assert _dead_parameters({"m.py": tree}) == ["m.py:1 _scale(cap)", "m.py:8 _row(width)"]
 
 
 def test_the_check_sees_an_unreached_method():

@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -12,11 +11,9 @@ from kw1.errors import (
 from kw1.liealg import base_change_mod_p
 from kw1.pbw import (
     SymPoly,
-    load_memo,
     pbw_bracket,
     pbw_multiply,
     principal_symbol,
-    save_memo,
     semi_invariant_weight,
     sym_from_element,
     symmetrize,
@@ -171,17 +168,3 @@ def test_sym_poly_algebra():
     assert SymPoly.zero(f5, 2).is_zero()
 
 
-def test_memo_spill_roundtrip(tmp_path, make_algebra):
-    alg = make_algebra("sl2", 5)
-    a = ue_monomial(alg, (0, 2, 1))
-    b = ue_monomial(alg, (1, 0, 2))
-    want = pbw_multiply(a, b)
-    path = os.path.join(tmp_path, "memo.pkl")
-    count = save_memo(alg, path)
-    assert count > 0
-    fresh = make_algebra("sl2", 5)
-    loaded = load_memo(fresh, path)
-    assert loaded == count
-    assert pbw_multiply(
-        ue_monomial(fresh, (0, 2, 1)), ue_monomial(fresh, (1, 0, 2))
-    ).render() == want.render()

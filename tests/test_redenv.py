@@ -1,6 +1,7 @@
 import json
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,7 +255,12 @@ def test_good_factor_spins_one_kernel_vector(monkeypatch):
 
 
 def test_burnside_divisibility_self_check(make_algebra, monkeypatch):
-    monkeypatch.setattr(redenv, "_algebra_dimension", lambda ops, mats, d: d * d - 1)
+    real = redenv._matrix_algebra
+
+    def short_by_one(ops, mats, d):
+        return SimpleNamespace(rows=real(ops, mats, d).rows, dim=d * d - 1)
+
+    monkeypatch.setattr(redenv, "_matrix_algebra", short_by_one)
     alg = make_algebra("sl2", 3)
     module = regular_representation(alg, chi_of(alg, 1, 0, 0))
     with pytest.raises(SelfCheckFailure, match="Burnside"):
@@ -573,7 +579,7 @@ def test_algebra_dimension_matches_one_insert_per_image(make_algebra):
     cases.append((ops_for(weyl.field), weyl.mats, weyl.dimension))
     dims = []
     for ops, mats, d in cases:
-        got = redenv._algebra_dimension(ops, mats, d)
+        got = redenv._matrix_algebra(ops, mats, d).dim
         assert got == algebra_dimension_one_insert_per_image(ops, mats, d)
         dims.append(got == d * d)
     assert sum(dims) >= 4 and not all(dims)
