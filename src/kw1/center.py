@@ -48,9 +48,12 @@ all p^n reduced monomials, which ends the search.  The rank is the
 largest point's dimension, and a later point reads the products and
 coordinate maps earlier ones formed from a table, so only one echelon is
 held at a time and no product is formed twice.  The D-1 generators come
-first, so the same run reads the D-1 rank and ``stabilized``.  A product
-that needs a larger e than the field's starts the search again over
-that field, from the same table.
+first, so the same run reads the D-1 rank and ``stabilized``.  No later
+point is spun once both ranks reach p^ind: ``index_generic`` bounds the
+index from above and the rank over the p-center is at most p^ind (the
+inequality ``kw1_verdict`` checks), so a later point could raise
+neither.  A product that needs a larger e than the field's starts the
+search again over that field, from the same table.
 
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
@@ -271,7 +274,9 @@ class CenterBasis:
     """Canonical basis of the degree <= D slice of the center.
 
     ``rank`` is the witnessed rank of the slice over the p-center and
-    ``spec_field`` the field it was specialized over.
+    ``spec_field`` the field it was specialized over.  ``ind`` is
+    ``index_generic``'s bound on the index; p^ind bounds both ranks, so
+    the spin stops at the first point that reads it for both.
     """
 
     degree_bound: int
@@ -279,6 +284,7 @@ class CenterBasis:
     stabilized: bool
     rank: int
     spec_field: GF
+    ind: int
 
 
 def _check_matrix_budget(n: int, count: int):
@@ -379,20 +385,23 @@ def center_basis_bounded(
     generators first, then the degree-D ones, over a field of degree at
     least ``min_extension``.  ``stabilized`` is true when the two ranks
     agree, the working signal that no new central directions appear at
-    the top degree.
+    the top degree.  Once a point reads p^ind for both, no later point is
+    spun: neither rank can exceed p^ind, so both are already exact.
     """
     if bound < 1:
         raise ValueError("degree bound must be >= 1")
+    ind = index_generic(alg, trials=INDEX_TRIALS, seed=seed)
     elements = _center_space(alg, bound)
     prev = [el for el in elements if el.degree <= bound - 1]
     top = [el for el in elements if el.degree == bound]
-    r_prev, r_here, field = _spin_ranks(alg, prev, top, seed, min_extension)
+    r_prev, r_here, field = _spin_ranks(alg, prev, top, alg.p**ind, seed, min_extension)
     return CenterBasis(
         degree_bound=bound,
         elements=tuple(elements),
         stabilized=(r_here == r_prev),
         rank=r_here,
         spec_field=field,
+        ind=ind,
     )
 
 
@@ -597,10 +606,12 @@ def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed
     return rank
 
 
-def _spin_ranks(alg: ModularLieAlgebra, first, then, seed: int, min_ext: int = 1):
+def _spin_ranks(alg: ModularLieAlgebra, first, then, ceiling: int, seed: int, min_ext: int = 1):
     """(rank over ``first``, rank over both, field) of the algebras central elements generate.
 
-    See the module docstring; e is at least ``min_ext``.
+    See the module docstring; e is at least ``min_ext``, and no point is
+    spun after one that reads ``ceiling``, an upper bound on both ranks,
+    for both.
     """
     n, p = alg.n, alg.p
     full = p**n
@@ -654,7 +665,7 @@ def _spin_ranks(alg: ModularLieAlgebra, first, then, seed: int, min_ext: int = 1
         best = [0, 0]
         for point in points:
             ranks = spin(_Span(field, point))
-            if ranks is None or ranks[1] == full:
+            if ranks is None or ranks[1] == full or ranks == [ceiling, ceiling]:
                 break
             best = [max(pair) for pair in zip(best, ranks)]
         if ranks is not None:
@@ -857,9 +868,8 @@ def kw1_verdict(
     n = alg.n
     p = alg.p
     bound = degree_bound if degree_bound is not None else default_degree_bound(alg)
-    ind = index_generic(alg, trials=INDEX_TRIALS, seed=seed)
     cb = center_basis_bounded(alg, bound, seed=seed, min_extension=min_extension)
-    r, spec_field = cb.rank, cb.spec_field
+    r, spec_field, ind = cb.rank, cb.spec_field, cb.ind
     if r > p**ind:
         raise SelfCheckFailure(f"rank {r} exceeds p^ind = {p**ind}")
     m_lower = p ** ((n - ind) // 2)

@@ -66,9 +66,11 @@ class RunConfig:
     def __post_init__(self):
         if not self.primes:
             raise ParseError("at least one prime is required")
-        for p in self.primes:
+        for k, p in enumerate(self.primes):
             if not is_prime(p):
                 raise ParseError(f"{p} is not prime")
+            if p in self.primes[:k]:
+                raise ParseError(f"prime {p} is given twice")
         if self.degree_bound is not None and self.degree_bound < 1:
             raise ParseError("degree bound must be >= 1")
         if self.samples < 1:

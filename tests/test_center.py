@@ -338,7 +338,7 @@ def test_d_minus_1_slice_is_the_d_minus_1_center(monkeypatch):
     """One solve at D gives, by degree, the canonical basis at D-1."""
     spun = []
 
-    def fake_spin(alg, first, then, seed, min_ext=1):
+    def fake_spin(alg, first, then, ceiling, seed, min_ext=1):
         spun.append((list(first), list(then)))
         return 0, 0, prime_field(alg.p)
 
@@ -358,8 +358,8 @@ def test_d_minus_1_slice_is_the_d_minus_1_center(monkeypatch):
 
 
 def test_verdict_solves_once_and_ranks_twice(make_algebra, monkeypatch):
-    """One center solve, and one spin that reads both the D-1 and the D rank."""
-    calls = {"_center_space": 0, "_spin_ranks": 0}
+    """One index, one center solve, and one spin that reads both the D-1 and the D rank."""
+    calls = {"index_generic": 0, "_center_space": 0, "_spin_ranks": 0}
     for fname in calls:
         real = getattr(center, fname)
 
@@ -370,7 +370,7 @@ def test_verdict_solves_once_and_ranks_twice(make_algebra, monkeypatch):
         monkeypatch.setattr(center, fname, counted)
     rep = kw1_verdict(make_algebra("remark:1:2", 5), seed=0, min_extension=3)
     assert rep.verdict == "verified" and rep.e == 3
-    assert calls == {"_center_space": 1, "_spin_ranks": 1}
+    assert calls == {"index_generic": 1, "_center_space": 1, "_spin_ranks": 1}
 
 
 def test_principal_symbol_self_check(make_algebra, monkeypatch):
@@ -517,6 +517,41 @@ def test_spin_reaches_full_rank_and_stabilizes(make_algebra):
     # gl2@5: z and the Casimir generate rank 25 from the D-1 = 2 slice
     cb = center_basis_bounded(make_algebra("gl2", 5), 3, seed=0)
     assert (cb.rank, cb.stabilized) == (25, True)
+
+
+@pytest.mark.parametrize(
+    "name, p, bound, verdict, stabilized, points",
+    [
+        ("gl2", 5, 3, "verified", True, 1),
+        ("remark:1:2", 5, None, "verified", True, 1),
+        ("sl2", 5, 2, "verified", False, center.RANK_TRIALS),
+        ("remark:1:1", 3, 2, "inconclusive", True, center.RANK_TRIALS),
+    ],
+)
+def test_spin_stops_once_both_ranks_reach_p_ind(
+    make_algebra, monkeypatch, name, p, bound, verdict, stabilized, points
+):
+    # a later point can raise neither rank past p^ind, so it is spun only
+    # while one of them is below it; spun counts the points per SZ field
+    spun, real = {}, center._Span
+
+    def counted(field, point):
+        spun[field.e] = spun.get(field.e, 0) + 1
+        return real(field, point)
+
+    monkeypatch.setattr(center, "_Span", counted)
+    rep = kw1_verdict(make_algebra(name, p), degree_bound=bound, seed=0)
+    assert (rep.verdict, rep.stabilized) == (verdict, stabilized)
+    assert spun and all(count == points for count in spun.values()), spun
+
+
+def test_rank_self_check_is_live_under_the_stop(make_algebra, monkeypatch):
+    # gl2@3 has rank 9; a wrong index of 1 gives a ceiling of 3, which no
+    # point reads, so every point is spun and the self-check fires
+    monkeypatch.setattr(center, "index_generic", lambda alg, trials, seed: 1)
+    with pytest.raises(SelfCheckFailure, match="rank 9 exceeds p\\^ind = 3"):
+        kw1_verdict(make_algebra("gl2", 3))
+    assert main(["check", "--example", "gl2", "--primes", "3"]) == 3
 
 
 def test_spin_budget_counts_echelons_and_one_block():

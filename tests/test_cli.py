@@ -127,6 +127,15 @@ def test_cli_check_exit_codes(capsys):
     assert main(["nosuchcommand"]) == 1
 
 
+def test_repeated_prime_is_an_input_error(capsys):
+    # the same verdict would run twice and print two identical reports
+    with pytest.raises(ParseError, match="prime 3 is given twice"):
+        RunConfig(primes=(3, 5, 3))
+    assert main(["check", "--example", "sl2", "--primes", "3,3"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "kw1: input error: prime 3 is given twice\n")
+
+
 def test_cli_check_sl2_at_the_casimir_degree(capsys):
     # the degree 2 slice (1 and the Casimir C) generates Z_p[C], of rank 7
     assert main(["check", "--example", "sl2", "--primes", "7", "--degree-bound", "2"]) == 0
