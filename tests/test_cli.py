@@ -542,3 +542,19 @@ def test_zero_variable_algebra(capsys):
     assert json.loads(capsys.readouterr().out)["rankOverBAp"] == 1
     assert main(["oracle", "--example", "abelian:0", "--prime", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["M"] == 1
+
+
+# F_p (e = 1) paths: nonabelian2@37 specializes and takes its index over
+# F_37 itself, and the heisenberg@3 oracle renders F_3 characters
+PRIME_FIELD_GOLDENS = [
+    ("report_nonabelian2_p37.json", ["check", "--example", "nonabelian2", "--primes", "37"], 0),
+    ("oracle_heisenberg_p3_seed1.json", ["oracle", "--example", "heisenberg", "--prime", "3", "--seed", "1"], 0),
+]
+
+
+@pytest.mark.parametrize("fname,argv,code", PRIME_FIELD_GOLDENS)
+def test_prime_field_outputs_match_golden(tmp_path, fname, argv, code):
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == code
+    with open(os.path.join(os.path.dirname(__file__), "golden", fname), "rb") as fh:
+        assert out.read_bytes() == fh.read()
