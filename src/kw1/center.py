@@ -466,14 +466,15 @@ class _CoordinateTerms:
 
         Only the ``rows`` given (indices, in their order) when given.
         Written into ``out`` (zeroed, any strides) when given.  ``point``
-        holds one ``FFElem`` of ``field`` per xi variable.  int64: each
-        term is reduced below p before the scatter-add, so an entry hit by
-        T terms stays below T p.  T is at most the number of gathered
-        terms; inside ``linalg.require_exact_prime``, 2^63 / p is over
-        3 * 10^9 terms, some 100 GB of index arrays.
+        holds one scalar of ``field`` per xi variable, read through
+        ``GF.coefficients``.  int64: each term is reduced below p before
+        the scatter-add, so an entry hit by T terms stays below T p.  T is
+        at most the number of gathered terms; inside
+        ``linalg.require_exact_prime``, 2^63 / p is over 3 * 10^9 terms,
+        some 100 GB of index arrays.
         """
         p, e = field.p, field.e
-        at = np.array([x.coeffs for x in point], dtype=np.int64).reshape(len(point), e)
+        at = np.array([field.coefficients(x) for x in point], dtype=np.int64).reshape(len(point), e)
         # powers[u, i] = point[i]^distinct[u] by square-and-multiply (bit k
         # of the exponent multiplies in point[i]^(2^k)), then each monomial
         # as a product of powers.  Only the exponents that occur are

@@ -3,11 +3,15 @@
 Each field kind has one scalar representation in sparse elements
 (``GF.scalar``, ``reduce_sparse``).  Rationals are ``fractions.Fraction``
 (lowest terms, positive denominator by construction).  Over a prime
-field F_p scalars are plain ints, residues in [0, p).  An element of
-GF(p, e) with e > 1 is an ``FFElem``: a polynomial of degree < e over
-F_p, stored as a tuple of e small ints and kept reduced modulo a fixed
-monic irreducible defining polynomial.  ``FFElem`` over GF(p) (a single
-residue) remains for dense matrix and character code.
+field F_p scalars are plain ints, residues in [0, p): every constructor
+of GF(p) (``zero``, ``one``, ``from_int``, ``elem``, ``random``,
+``random_nonzero``, ``scalar``) returns one.  An element of GF(p, e) with
+e > 1 is an ``FFElem``: a polynomial of degree < e over F_p, stored as a
+tuple of e small ints and kept reduced modulo a fixed monic irreducible
+defining polynomial.  Only this module reads that layout: dense code
+takes the e residues of any scalar from ``GF.coefficients`` and works on
+int64 coefficient arrays, and builds an element from residues with
+``GF.elem``.
 
 Defining polynomials are either supplied or drawn from a seeded RNG and
 certified irreducible by the Frobenius gcd criterion, so the triple
@@ -162,8 +166,8 @@ class GF:
                 tuple(int(c) for c in r) + (0,) * (e - r.size)
                 for r in (fastpoly.powmod(t, e + k, f, p) for k in range(e - 1))
             ]
-        self.zero = FFElem(self, (0,) * e)
-        self.one = FFElem(self, (1,) + (0,) * (e - 1))
+        self.zero = self.elem(())
+        self.one = self.elem((1,))
 
     def __eq__(self, other):
         return (
@@ -181,8 +185,8 @@ class GF:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e}; {render_poly_modp(self.modulus)})"
 
-    def from_int(self, k: int) -> "FFElem":
-        return FFElem(self, (k % self.p,) + (0,) * (self.e - 1))
+    def from_int(self, k: int):
+        return self.elem((k,))
 
     def _rational_residue(self, x) -> int:
         x = Fraction(x)
@@ -193,74 +197,70 @@ class GF:
     def scalar(self, x):
         """``x`` in this field's sparse representation.
 
-        Over F_p that is a plain int in [0, p), from an int, a Fraction
-        or a prime-field ``FFElem``; over F_{p^e}, e > 1, an ``FFElem``.
+        Over F_p that is a plain int in [0, p), from an int or a Fraction;
+        over F_{p^e}, e > 1, an ``FFElem``.
         """
         if self.e > 1:
             return self.embed(x)
         if isinstance(x, int):
             return x % self.p
-        if isinstance(x, FFElem) and x.field.p == self.p and x.field.e == 1:
-            return x.coeffs[0]
         if isinstance(x, Fraction):
             return self._rational_residue(x)
         if isinstance(x, Integral):  # numpy integers
             return int(x) % self.p
         raise CoefficientFieldMismatch(f"cannot read {x!r} as a scalar of {self!r}")
 
-    def elem(self, coeffs) -> "FFElem":
+    def elem(self, coeffs):
+        """The scalar with these residues, constant term first (an int when e == 1)."""
         coeffs = tuple(int(c) % self.p for c in coeffs)
         if len(coeffs) > self.e:
             raise ValueError("too many coefficients")
-        return FFElem(self, coeffs + (0,) * (self.e - len(coeffs)))
+        coeffs += (0,) * (self.e - len(coeffs))
+        return FFElem(self, coeffs) if self.e > 1 else coeffs[0]
 
-    def random(self, rng: random.Random) -> "FFElem":
-        return FFElem(self, tuple(rng.randrange(self.p) for _ in range(self.e)))
+    def coefficients(self, x) -> tuple:
+        """The e residues of the scalar ``x``, constant term first."""
+        x = self.scalar(x)
+        return x.coeffs if self.e > 1 else (x,)
 
-    def random_nonzero(self, rng: random.Random) -> "FFElem":
+    def random(self, rng: random.Random):
+        return self.elem([rng.randrange(self.p) for _ in range(self.e)])
+
+    def random_nonzero(self, rng: random.Random):
         while True:
             x = self.random(rng)
             if x:
                 return x
 
     def embed(self, x) -> "FFElem":
-        """Embed an int residue or an element of the prime subfield."""
+        """An int residue, or an element of this field, as an ``FFElem`` (e > 1)."""
         if isinstance(x, Integral):
             return self.from_int(int(x))
-        if x.field is self or x.field == self:
+        if isinstance(x, FFElem) and (x.field is self or x.field == self):
             return x
-        if x.field.p != self.p or x.field.e != 1:
-            raise CoefficientFieldMismatch(
-                f"cannot embed {x.field!r} into {self!r}"
-            )
-        return self.from_int(x.coeffs[0])
+        raise CoefficientFieldMismatch(f"cannot read {x!r} as a scalar of {self!r}")
 
-    def mul_matrix(self, a: "FFElem"):
+    def mul_matrix(self, a):
         """Rows of the e x e F_p-matrix of multiplication by ``a``.
 
         Entry [i][j] is coefficient i of a * t^j; used to turn rank
         problems over F_{p^e} into rank problems over F_p.
         """
-        e = self.e
-        cols = []
-        cur = a.coeffs
-        for _ in range(e):
-            cols.append(cur)
-            if e == 1:
-                cur = ((cur[0] * 0) % self.p,)  # unused for e == 1
-                break
-            shifted = (0,) + cur[: e - 1]
-            top = cur[e - 1]
+        cols = [self.coefficients(a)]
+        while len(cols) < self.e:
+            cur = cols[-1]
+            shifted = (0,) + cur[:-1]
+            top = cur[-1]
             if top:
                 shifted = tuple(
                     (s + top * r) % self.p for s, r in zip(shifted, self._red[0])
                 )
-            cur = shifted
-        return [[cols[j][i] for j in range(len(cols))] for i in range(e)]
+            cols.append(shifted)
+        return [list(row) for row in zip(*cols)]
 
 
 class FFElem:
-    """Element of a GF instance; immutable, supports field arithmetic."""
+    """Element of a GF(p, e) with e > 1; immutable, supports field arithmetic."""
 
     __slots__ = ("field", "coeffs")
 
@@ -275,11 +275,6 @@ class FFElem:
             return NotImplemented
         if other.field is self.field or other.field == self.field:
             return self, other
-        if self.field.p == other.field.p:
-            if self.field.e == 1:
-                return other.field.embed(self), other
-            if other.field.e == 1:
-                return self, self.field.embed(other)
         raise CoefficientFieldMismatch(
             f"cannot combine {self.field!r} and {other.field!r}"
         )
@@ -317,8 +312,6 @@ class FFElem:
         field = a.field
         p = field.p
         e = field.e
-        if e == 1:
-            return FFElem(field, ((a.coeffs[0] * b.coeffs[0]) % p,))
         out = [0] * (2 * e - 1)
         for i, x in enumerate(a.coeffs):
             if x:
@@ -340,8 +333,6 @@ class FFElem:
         field = self.field
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        if field.e == 1:
-            return FFElem(field, (pow(self.coeffs[0], -1, field.p),))
         # Fermat: the multiplicative group has order p^e - 1
         return self ** (field.order - 2)
 
@@ -375,26 +366,12 @@ class FFElem:
             return self == self.field.from_int(other)
         if not isinstance(other, FFElem):
             return NotImplemented
-        if self.field is not other.field and self.field != other.field:
-            if self.field.p == other.field.p and (
-                self.field.e == 1 or other.field.e == 1
-            ):
-                a, b = self._pair(other)
-                return a.coeffs == b.coeffs
-            return False
-        return self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and (self.field is other.field or self.field == other.field)
 
     def __hash__(self):
         return hash((self.field.p, self.field.e, self.coeffs))
 
-    def __int__(self):
-        if self.field.e != 1:
-            raise ValueError("only prime-field elements convert to int")
-        return self.coeffs[0]
-
     def render(self, var="t") -> str:
-        if self.field.e == 1:
-            return str(self.coeffs[0])
         body = render_poly_modp(self.coeffs, var)
         return body if "+" not in body and "*" not in body else f"({body})"
 

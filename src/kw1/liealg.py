@@ -98,8 +98,8 @@ class ModularLieAlgebra:
     """A presentation base-changed to F_p, optionally with a p-map.
 
     Structure constants always live in the prime field, as int residues
-    in [1, p) (ints, Fractions and prime-field elements are accepted and
-    reduced); extensions F_{p^e} only enter through evaluation points.
+    in [1, p) (ints and Fractions are accepted and reduced); extensions
+    F_{p^e} only enter through evaluation points, as coefficient arrays.
     """
 
     def __init__(self, name, labels, p, constants, restricted=None):
@@ -300,47 +300,41 @@ def with_p_map(alg: ModularLieAlgebra, override=None) -> ModularLieAlgebra:
 # index
 # ---------------------------------------------------------------------------
 
-def _chi_matrix(ctx, chi, zero):
-    """Alternating matrix (chi([x_i, x_j]))."""
-    n = ctx.n
-    rows = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = zero
-            for k, c in ctx.bracket(i, j).items():
-                v = v + c * chi[k]
-            rows[i][j] = v
-            rows[j][i] = -v
-    return rows
-
-
 def index_generic(obj, trials: int = 3, seed: int = 0) -> int:
     """dim g minus the best rank of chi([x_i,x_j]) over sampled chi.
 
     Besides ``trials`` random functionals, the all-ones and coordinate
     functionals are always evaluated.  Over F_p the random points are
-    drawn from an extension large enough for Schwartz-Zippel confidence;
-    over the rationals small random integers are used.  The result is an
-    upper bound on the index that is exact with overwhelming probability.
+    drawn from an extension F_q large enough for Schwartz-Zippel
+    confidence, as (n, e) coefficient arrays, and each point's matrix
+    chi([x_i, x_j]) is one ``linalg.matmul_modp`` of the ad matrices by
+    chi; over the rationals small random integers are used.  The result
+    is an upper bound on the index that is exact with overwhelming
+    probability.
     """
     n = obj.n
     rng = random.Random(derive_seed("index", seed, getattr(obj, "p", 0), n))
-    best = 0
     if obj.field is QQ:
         evals = [[Fraction(1)] * n]
         evals += [[Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
         evals += [[Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(trials)]
-        for chi in evals:
-            b = _chi_matrix(obj, chi, Fraction(0))
-            best = max(best, linalg.rank(b, QQ))
+        ranks = (
+            linalg.rank([[sum((c * chi[k] for k, c in obj.bracket(i, j).items()), Fraction(0))
+                          for j in range(n)] for i in range(n)], QQ)
+            for chi in evals
+        )
     else:
         p = obj.p
         e = sz_extension_degree(p, n, n)
         ext = galois_field(p, e, seed=derive_seed("index-field", p, e))
-        evals = [[ext.one] * n]
-        evals += [[ext.one if k == i else ext.zero for k in range(n)] for i in range(n)]
-        evals += [[ext.random(rng) for _ in range(n)] for _ in range(trials)]
-        for chi in evals:
-            b = _chi_matrix(obj, chi, ext.zero)
-            best = max(best, linalg.rank(b, ext))
-    return n - best
+        # ad[i * n + j, l] is the coefficient of x_l in [x_i, x_j]
+        ad = ad_matrices(obj).transpose(0, 2, 1).reshape(n * n, n)
+        # the all-ones and coordinate functionals, then the random ones,
+        # drawn as GF.random draws each coordinate's e residues
+        drawn = [rng.randrange(p) for _ in range(trials * n * e)]
+        evals = np.zeros((n + 1 + trials, n, e), dtype=np.int64)
+        evals[0, :, 0] = 1
+        evals[1:n + 1, :, 0] = np.eye(n, dtype=np.int64)
+        evals[n + 1:] = np.array(drawn, dtype=np.int64).reshape(trials, n, e)
+        ranks = (linalg.rank(linalg.matmul_modp(ad, chi, p).reshape(n, n, e), ext) for chi in evals)
+    return n - max(ranks)

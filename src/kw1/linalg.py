@@ -1,22 +1,25 @@
 """Exact linear algebra over Fraction, F_p, and F_{p^e}.
 
+Dense matrices over F_q, q = p^e, are int64 coefficient arrays at every
+e: an F_p matrix is (rows, cols) residues, and a matrix over F_q is the
+(rows, cols, e) array of its entries' residues (``GF.coefficients``).
 Each row reduction serves one load:
 
 * ``_eliminate``: a whole numpy int64 matrix reduced mod p, with
   vectorized row operations.  It serves ``rref_modp``, the nullspaces
   and solves over F_p (solves are over F_p only), and every rank over
-  F_p or F_{p^e} (``rank``).  A rank over F_{p^e} is taken of the blocked
-  form, which embeds each F_{p^e} entry as its e x e multiplication
-  matrix over F_p (``blocked_form`` lets a caller write the coefficients
-  into block column 0 directly, and ``_fill_blocks`` fills the other
-  block columns).  The center's commutator matrix is taken by its
-  nonzero entries (``nullspace_rref_sparse``): it is graded and so
-  block-diagonal up to order, so each connected column component is one
-  elimination of its dense block, and no dense copy of the whole matrix
-  is built.
+  F_q (``rank``).  A rank over F_q is taken of the blocked form, which
+  embeds each entry as its e x e multiplication matrix over F_p
+  (``blocked_form`` lets a caller write the coefficients into block
+  column 0 directly, and ``_fill_blocks`` fills the other block
+  columns); at e = 1 the blocked form is the matrix itself.  The
+  center's commutator matrix is taken by its nonzero entries
+  (``nullspace_rref_sparse``): it is graded and so block-diagonal up to
+  order, so each connected column component is one elimination of its
+  dense block, and no dense copy of the whole matrix is built.
 * ``rref_ff``: one list RREF for scalars with field arithmetic and
   ``1 / x``: ``Fraction`` for the (small) ranks over the rationals, and
-  ``FFElem`` for nullspaces over extensions.
+  ``FFElem`` for nullspaces over extensions, e > 1.
 
 Two F_p reductions live elsewhere, each for its own load: the MeatAxe's
 incremental spins insert one vector at a time into
@@ -68,12 +71,6 @@ def require_exact_prime(p: int) -> None:
     """
     if p * (p - 1) >= 2**63:
         raise PrimeOutsideInt64Range(p, LARGEST_EXACT_PRIME)
-
-
-def to_modp_array(rows, field: GF) -> np.ndarray:
-    """Rows of F_p scalars (ints, prime-field FFElem, Fraction) as an int64 array."""
-    out = [[field.scalar(x) for x in row] for row in rows]
-    return np.array(out, dtype=np.int64) if out else np.zeros((0, 0), dtype=np.int64)
 
 
 def _eliminate(m: np.ndarray, p: int, reduce_above: bool) -> list:
@@ -246,18 +243,14 @@ def solve_modp(a: np.ndarray, b: np.ndarray, p: int):
     """Particular solution of a x = b with free variables set to zero.
 
     Returns None when the system is inconsistent.  The solution is the
-    canonical echelon-form representative: coordinates at non-pivot
+    null vector of [a | -b] with last entry 1 in the RREF basis of
+    ``nullspace_modp``, the one built on the last column: the canonical
+    echelon-form representative, whose coordinates at the other free
     columns vanish, so the answer is deterministic.
     """
-    rows, cols = a.shape
-    aug = np.concatenate([a % p, (b % p).reshape(rows, 1)], axis=1)
-    r, pivots = rref_modp(aug, p)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, cols]
-    return x
+    null = nullspace_modp(np.concatenate([a, -b.reshape(-1, 1)], axis=1), p)
+    hit = null[null[:, -1] == 1]
+    return hit[0, :-1] if hit.shape[0] else None
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +358,16 @@ def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def rank(rows, field) -> int:
-    rows = [list(r) for r in rows]
-    if not rows or not rows[0]:
-        return 0
-    if field is QQ or getattr(field, "is_rational", False):
+    """Rank of a matrix over QQ (rows of rationals) or over F_q.
+
+    Over F_q, q = p^e, ``rows`` is the (rows, cols, e) int64 coefficient
+    array, ranked by its blocked form, whose F_p-rank is e times the rank.
+    """
+    if field.is_rational:
         return rank_ff([[Fraction(x) for x in r] for r in rows], QQ)
-    if field.e == 1:
-        return rank_modp(to_modp_array(rows, field), field.p)
-    # the F_p-rank of the blocked form is e times the rank
     e = field.e
-    big, first = blocked_form(len(rows), len(rows[0]), field)
-    first[...] = [[x.coeffs for x in row] for row in rows]
+    big, first = blocked_form(rows.shape[0], rows.shape[1], field)
+    first[...] = rows % field.p
     r = len(_eliminate(_fill_blocks(big, field), field.p, reduce_above=False))
     if r % e:
         raise SelfCheckFailure(f"blocked F_p-rank {r} is not a multiple of e = {e}")

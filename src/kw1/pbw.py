@@ -8,12 +8,12 @@ PBW relations are confluent so no Groebner machinery is needed.
 
 Scalars follow the field kind (``GF.scalar``): over F_p they are plain
 ints, residues in [0, p), and a stored coefficient is never 0; over the
-rationals they are ``Fraction``; ``FFElem`` is used only for F_{p^e},
-e > 1, that is for specialization points and the values computed at
-them.  The straightening loops accumulate raw int products and reduce
-them mod p when a memo entry or an element is finished.  Constructors
-accept ints, Fractions and prime-field ``FFElem`` coefficients and
-normalize them.
+rationals they are ``Fraction``.  Elements live over F_p or QQ only:
+F_{p^e} enters at specialization points, as coefficient arrays
+(``center._CoordinateTerms.values``).  The straightening loops
+accumulate raw int products and reduce them mod p when a memo entry or
+an element is finished.  Constructors accept int and Fraction
+coefficients and normalize them.
 
 Also provides the symmetrization section Sym(g) -> U(g), principal
 symbols in the associated graded, and the detector for elements on
@@ -443,20 +443,18 @@ class SymPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def evaluate(self, point):
-        """Value at a point of ``FFElem`` coordinates, in the point's field.
+    def evaluate(self, point, field):
+        """Value at a point of scalars of ``field``, a scalar of ``field``.
 
         Term by term in Python, the reference for the vectorized
-        ``center._CoordinateTerms.values``.  The value is an element of
-        the point's field, also for a constant or zero polynomial.
+        ``center._CoordinateTerms.values``.
         """
-        field = point[0].field
         total = field.zero
         for m, c in self.terms.items():
             v = field.from_int(c)
             for x, a in zip(point, m):
-                v = v * x**a
-            total = total + v
+                v = field.scalar(v * x**a)
+            total = field.scalar(total + v)
         return total
 
     def render(self, labels) -> str:

@@ -1,9 +1,10 @@
-"""Dense univariate polynomials over a finite field.
+"""Dense univariate polynomials over an extension field F_{p^e}, e > 1.
 
-Polynomials are tuples of FFElem coefficients, little endian, with no
+Polynomials are tuples of ``FFElem`` coefficients, little endian, with no
 trailing zeros (the zero polynomial is the empty tuple).  All routines
-take the coefficient field explicitly so they work uniformly over F_p
-and its extensions.
+take the coefficient field explicitly.  Over F_p, where scalars are
+ints, ``fastpoly`` is the kernel; this module serves the MeatAxe's
+extension backend (``matops.ExtOps.iter_factors``).
 
 Provides the arithmetic plus squarefree / distinct-degree /
 equal-degree (Cantor-Zassenhaus) factorization, an irreducibility test,
@@ -248,6 +249,6 @@ def pfactor(f, field: GF, rng: random.Random):
                 found[irr] = found.get(irr, 0) + mult
     def key(item):
         poly = item[0]
-        return (pdeg(poly), tuple(c.coeffs for c in poly))
+        return (pdeg(poly), tuple(field.coefficients(c) for c in poly))
     return sorted(found.items(), key=key)
 

@@ -115,7 +115,7 @@ from .errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure, Sp
 from .fields import GF, FFElem, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
 from .matops import ops_for
-from .pbw import UEElement, _mono_times_mono
+from .pbw import UEElement, _mono_times_mono, render_scalar
 from .util import deglex_key, derive_seed
 
 MAX_SPLIT_TRIES = 40
@@ -128,12 +128,12 @@ KERNEL_SPIN_CAP = 4
 
 @dataclass(frozen=True)
 class Character:
-    """A linear functional on the basis, with values in F_{p^e}."""
+    """A linear functional on the basis, with values in F_{p^e}: ints when e == 1."""
 
     chi: tuple
 
     def render(self):
-        return tuple(c.render() for c in self.chi)
+        return tuple(render_scalar(c) for c in self.chi)
 
 
 @dataclass
@@ -173,17 +173,21 @@ def regular_representation(alg: ModularLieAlgebra, chi: Character) -> AlgebraMod
     with basis the reduced monomials in deglex order.  It is the fibre
     U(g) (x)_{Z_p} F at the point xi = chi^p of Spec Z_p, so one
     specialization of the gathered left actions at xi_i = chi_i^p gives
-    every generator's matrix: int64 residues over F_p, and the ``FFElem``
-    rows of the extension backend over F_{p^e}, where every zero entry is
-    the field's own ``zero``.  p^n above ``DIM_CAP`` raises
-    ``DimensionCap``.
+    every generator's matrix: int64 residues over F_p, where the
+    Frobenius fixes chi and xi is chi itself, and the rows of the
+    extension backend over F_{p^e}, e > 1, built with ``GF.elem``, where
+    every zero entry is the field's own ``zero``.  p^n above ``DIM_CAP``
+    raises ``DimensionCap``.
     """
     d = alg.p**alg.n
     if d > DIM_CAP:
         raise DimensionCap(d, DIM_CAP)
-    field = chi.chi[0].field if chi.chi else prime_field(alg.p)
+    if chi.chi and isinstance(chi.chi[0], FFElem):
+        field = chi.chi[0].field
+        xi = [c**alg.p for c in chi.chi]
+    else:
+        field, xi = prime_field(alg.p), chi.chi
     e = field.e
-    xi = [c**alg.p for c in chi.chi]
     values = _left_action_terms(alg).values(xi, field)
     # values[i p^n + col, row] is entry (row, col) of x_i's matrix
     blocks = values.reshape(alg.n, d, d, e).transpose(0, 2, 1, 3)
@@ -192,8 +196,7 @@ def regular_representation(alg: ModularLieAlgebra, chi: Character) -> AlgebraMod
     else:
         zero = field.zero
         mats = [
-            [[FFElem(field, tuple(c)) if any(c) else zero for c in row] for row in block.tolist()]
-            for block in blocks
+            [[field.elem(c) if any(c) else zero for c in row] for row in block.tolist()] for block in blocks
         ]
     return AlgebraModule(dimension=d, field=field, mats=mats)
 

@@ -15,6 +15,7 @@ from kw1.fields import (
     prime_field,
     render_poly_modp,
 )
+from kw1.pbw import render_scalar
 
 
 def test_is_prime():
@@ -24,17 +25,16 @@ def test_is_prime():
 
 
 def test_prime_field_arithmetic():
+    """GF(p) builds plain int residues, drawn as ``rng.randrange(p)``."""
     f5 = prime_field(5)
-    a = f5.from_int(3)
-    b = f5.from_int(4)
-    assert int(a + b) == 2
-    assert int(a - b) == 4
-    assert int(a * b) == 2
-    assert int(a / b) == int(a * b.inverse())
-    assert int(-a) == 2
-    assert a**4 == f5.one
-    assert not f5.zero
-    assert a
+    rng, ref = random.Random(3), random.Random(3)
+    made = [f5.zero, f5.one, f5.from_int(-2), f5.elem([7]), f5.elem(()), f5.scalar(Fraction(1, 2))]
+    assert made == [0, 1, 3, 2, 0, 3]
+    assert [f5.random(rng) for _ in range(20)] == [ref.randrange(5) for _ in range(20)]
+    assert all(f5.random_nonzero(rng) for _ in range(20))
+    assert all(type(x) is int for x in made + [f5.random(rng), f5.random_nonzero(rng)])
+    assert f5.coefficients(3) == (3,) and f5.coefficients(-1) == (4,)
+    assert f5.mul_matrix(3) == [[3]]
 
 
 def test_rational_reduction():
@@ -101,7 +101,8 @@ def test_mul_matrix_is_multiplication():
 def test_render():
     f = galois_field(2, 3)
     assert render_poly_modp(f.modulus).count("t") >= 1
-    assert prime_field(7).from_int(12).render() == "5"
+    assert render_scalar(prime_field(7).from_int(12)) == "5"
+    assert render_scalar(galois_field(7, 2).elem([5, 1])) == "(t + 5)"
 
 
 # modulus and reduction table (t^e .. t^(2e-2) mod the modulus) of
@@ -210,3 +211,25 @@ def test_inverse_at_the_top_of_the_envelope(e):
         assert a * inv == field.one
         assert inv.inverse() == a
         assert a / a == field.one
+
+
+def test_prime_fields_build_no_ffelem(make_algebra, monkeypatch):
+    """A prime-field scalar is an int on the verdict, oracle and index paths."""
+    from kw1.center import kw1_verdict
+    from kw1.liealg import index_generic
+    from kw1.redenv import max_irreducible_dim
+
+    built = FFElem.__init__
+
+    def guarded(self, field, coeffs):
+        if field.e == 1:
+            raise TypeError(f"FFElem over the prime field {field!r}")
+        built(self, field, coeffs)
+
+    monkeypatch.setattr(FFElem, "__init__", guarded)
+    nonabelian2, sl2 = make_algebra("nonabelian2", 37), make_algebra("sl2", 5)
+    assert kw1_verdict(nonabelian2).e == 1
+    assert kw1_verdict(sl2).e > 1
+    assert max_irreducible_dim(make_algebra("heisenberg", 3)).m_est == 3
+    assert index_generic(nonabelian2) == 0
+    assert index_generic(sl2) == 1

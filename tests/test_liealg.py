@@ -25,19 +25,16 @@ def brute_force_index(alg):
     """Independent oracle: kernel dimension of B_chi over all chi in F_p^n."""
     from kw1 import linalg
 
-    n = alg.n
-    field = alg.field
+    n, p = alg.n, alg.p
     best = 0
-    for chi in itertools.product(range(alg.p), repeat=n):
-        rows = [[field.zero] * n for _ in range(n)]
+    for chi in itertools.product(range(p), repeat=n):
+        rows = np.zeros((n, n, 1), dtype=np.int64)
         for i in range(n):
             for j in range(i + 1, n):
-                v = field.zero
-                for k, c in alg.bracket(i, j).items():
-                    v = v + c * field.from_int(chi[k])
-                rows[i][j] = v
-                rows[j][i] = -v
-        best = max(best, linalg.rank(rows, field))
+                v = sum(c * chi[k] for k, c in alg.bracket(i, j).items()) % p
+                rows[i, j, 0] = v
+                rows[j, i, 0] = -v % p
+        best = max(best, linalg.rank(rows, alg.field))
     return n - best
 
 

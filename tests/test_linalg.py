@@ -8,6 +8,12 @@ from kw1 import linalg
 from kw1.fields import QQ, galois_field, prime_field
 
 
+def _coefficients(rows, field):
+    """The (rows, cols, e) coefficient array ``linalg.rank`` takes over F_q."""
+    out = [[field.coefficients(x) for x in row] for row in rows]
+    return np.array(out, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0, field.e)
+
+
 def test_rref_modp_known():
     a = np.array([[1, 2, 3], [2, 4, 6], [1, 0, 1]], dtype=np.int64)
     r, pivots = linalg.rref_modp(a, 5)
@@ -115,7 +121,7 @@ def test_blocked_rank_agrees_with_generic():
     for p, e in ((3, 2), (5, 3), (2, 4), (2, 5), (3, 5), (7, 2)):
         field = galois_field(p, e)
         for a in _ext_matrices(field, rng):
-            assert linalg.rank(a, field) == linalg.rank_ff(a, field)
+            assert linalg.rank(_coefficients(a, field), field) == linalg.rank_ff(a, field)
 
 
 def test_blocked_matrix_blocks_are_mul_matrices():
@@ -139,7 +145,7 @@ def test_blocked_rank_self_check(monkeypatch):
     field = galois_field(3, 2)
     monkeypatch.setattr(linalg, "_eliminate", lambda m, p, reduce_above: [0])
     with pytest.raises(SelfCheckFailure, match="not a multiple of e"):
-        linalg.rank([[field.one]], field)
+        linalg.rank(_coefficients([[field.one]], field), field)
 
 
 def test_nullspace_modp_matches_loop_reference():
@@ -178,7 +184,8 @@ def test_fraction_rank():
 def test_dispatch_rank():
     f5 = prime_field(5)
     rows = [[f5.from_int(1), f5.from_int(2)], [f5.from_int(2), f5.from_int(4)]]
-    assert linalg.rank(rows, f5) == 1
+    assert linalg.rank(_coefficients(rows, f5), f5) == 1
+    assert linalg.rank(np.array([[[1], [2]], [[2], [0]]]), f5) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +228,7 @@ def test_kernels_exact_at_the_largest_prime():
         )
         assert [tuple(int(c) for c in row) for row in got] == [(x * y).coeffs for x, y in zip(xs, ys)]
         rows = [[xs[0], xs[1]], [xs[0] * ys[2], xs[1] * ys[2]], [ys[3], ys[4]]]
-        assert linalg.rank(rows, field) == linalg.rank_ff(rows, field)
+        assert linalg.rank(_coefficients(rows, field), field) == linalg.rank_ff(rows, field)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +315,7 @@ def test_blocked_rank_over_an_extension():
             [sum((row[k] * right[k][j] for k in range(3)), field.zero) for j in range(8)]
             for row in left
         ]
-        assert linalg.rank(a, field) == linalg.rank_ff(a, field)
+        assert linalg.rank(_coefficients(a, field), field) == linalg.rank_ff(a, field)
 
 
 # ---------------------------------------------------------------------------

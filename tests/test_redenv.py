@@ -91,7 +91,7 @@ def test_regular_representation_columns_are_specialized_coordinates(make_algebra
             for col, mono in enumerate(monomials):
                 elem = ue_gen(alg, i) * ue_monomial(alg, mono)
                 coords = center.zp_coordinates(elem, alg).coordinates
-                want = [coords[m].evaluate(xi) if m in coords else field.zero for m in monomials]
+                want = [coords[m].evaluate(xi, field) if m in coords else field.zero for m in monomials]
                 got = [module.mats[i][row][col] for row in range(module.dimension)]
                 if field.e == 1:
                     got = [field.from_int(int(c)) for c in got]
