@@ -10,8 +10,8 @@ e > 1 is an ``FFElem``: a polynomial of degree < e over F_p, stored as a
 tuple of e small ints and kept reduced modulo a fixed monic irreducible
 defining polynomial.  Only this module reads that layout: dense code
 takes the e residues of any scalar from ``GF.coefficients`` and works on
-int64 coefficient arrays, and builds an element from residues with
-``GF.elem``.
+int64 coefficient arrays, builds an element from residues with
+``GF.elem``, and asks ``field_of`` which field a tuple of scalars is in.
 
 Defining polynomials are either supplied or drawn from a seeded RNG and
 certified irreducible by the Frobenius gcd criterion, so the triple
@@ -400,6 +400,11 @@ def prime_field(p: int) -> GF:
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = GF(p)
     return _FIELD_CACHE[key]
+
+
+def field_of(values, p: int) -> GF:
+    """The field of these characteristic-p scalars: F_p when they are ints."""
+    return values[0].field if values and isinstance(values[0], FFElem) else prime_field(p)
 
 
 def galois_field(p: int, e: int = 1, seed: int = 0) -> GF:

@@ -329,12 +329,11 @@ def index_generic(obj, trials: int = 3, seed: int = 0) -> int:
         ext = galois_field(p, e, seed=derive_seed("index-field", p, e))
         # ad[i * n + j, l] is the coefficient of x_l in [x_i, x_j]
         ad = ad_matrices(obj).transpose(0, 2, 1).reshape(n * n, n)
-        # the all-ones and coordinate functionals, then the random ones,
-        # drawn as GF.random draws each coordinate's e residues
-        drawn = [rng.randrange(p) for _ in range(trials * n * e)]
+        # the all-ones and coordinate functionals, then the random ones
         evals = np.zeros((n + 1 + trials, n, e), dtype=np.int64)
         evals[0, :, 0] = 1
         evals[1:n + 1, :, 0] = np.eye(n, dtype=np.int64)
+        drawn = [ext.coefficients(ext.random(rng)) for _ in range(trials * n)]
         evals[n + 1:] = np.array(drawn, dtype=np.int64).reshape(trials, n, e)
         ranks = (linalg.rank(linalg.matmul_modp(ad, chi, p).reshape(n, n, e), ext) for chi in evals)
     return n - max(ranks)

@@ -260,8 +260,10 @@ def solve_modp(a: np.ndarray, b: np.ndarray, p: int):
 def rref_ff(rows, field):
     """Reduced row echelon form of a list matrix; returns (rows, pivots).
 
-    Entries are ``Fraction`` (``field`` QQ) or ``FFElem`` of ``field``.
+    Entries are ``Fraction`` (``field`` QQ) or ``FFElem`` of ``field``, e > 1.
     """
+    if isinstance(field, GF) and field.e == 1:
+        raise ValueError("rref_ff needs field arithmetic; over F_p use rref_modp")
     m = [list(row) for row in rows]
     if not m:
         return m, []

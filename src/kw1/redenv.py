@@ -112,7 +112,7 @@ import numpy as np
 
 from .center import INDEX_TRIALS, _CoordinateTerms, zp_coordinates
 from .errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure, SplitBudgetExceeded
-from .fields import GF, FFElem, galois_field, prime_field
+from .fields import GF, field_of, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
 from .matops import ops_for
 from .pbw import UEElement, _mono_times_mono, render_scalar
@@ -182,12 +182,9 @@ def regular_representation(alg: ModularLieAlgebra, chi: Character) -> AlgebraMod
     d = alg.p**alg.n
     if d > DIM_CAP:
         raise DimensionCap(d, DIM_CAP)
-    if chi.chi and isinstance(chi.chi[0], FFElem):
-        field = chi.chi[0].field
-        xi = [c**alg.p for c in chi.chi]
-    else:
-        field, xi = prime_field(alg.p), chi.chi
+    field = field_of(chi.chi, alg.p)
     e = field.e
+    xi = [c**alg.p for c in chi.chi] if e > 1 else chi.chi
     values = _left_action_terms(alg).values(xi, field)
     # values[i p^n + col, row] is entry (row, col) of x_i's matrix
     blocks = values.reshape(alg.n, d, d, e).transpose(0, 2, 1, 3)

@@ -63,16 +63,26 @@ def test_solve_modp():
 
 
 def test_generic_field_rref_matches_prime():
+    """An F_3 rank is the rank of the same matrix lifted into F_9."""
     p = 3
-    f3 = prime_field(p)
+    f9 = galois_field(p, 2)
     rng = random.Random(2)
     for _ in range(20):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 6)
         ints = [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)]
         a = np.array(ints, dtype=np.int64)
-        ff = [[f3.from_int(x) for x in row] for row in ints]
-        assert linalg.rank_modp(a, p) == linalg.rank_ff(ff, f3)
+        ff = [[f9.from_int(x) for x in row] for row in ints]
+        assert linalg.rank_modp(a, p) == linalg.rank_ff(ff, f9)
+    # over the rationals [[1, 2], [2, 1]] has rank 2, over F_3 rank 1
+    lifted = [[f9.from_int(x) for x in row] for row in ((1, 2), (2, 1))]
+    assert linalg.rank_ff(lifted, f9) == 1
+
+
+def test_rref_ff_refuses_the_prime_field():
+    """F_p scalars are ints, and 1 / x on an int is float division."""
+    with pytest.raises(ValueError):
+        linalg.rref_ff([[1, 2], [2, 1]], prime_field(3))
 
 
 def test_extension_nullspace():
