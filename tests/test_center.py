@@ -321,6 +321,8 @@ REPORT_GOLDENS = [
     ("report_abelian_2_p7_ext3.json", "abelian:2", 7, ["--ext", "3"]),
     ("report_remark_1_2_p7_d18.json", "remark:1:2", 7, ["--degree-bound", "18"]),
     ("report_gl2_p3_seed1.json", "gl2", 3, ["--seed", "1"]),
+    ("report_gl2_p5_d3.json", "gl2", 5, ["--degree-bound", "3"]),
+    ("report_gl2_p7_d3_seed1.json", "gl2", 7, ["--degree-bound", "3", "--seed", "1"]),
 ]
 
 
