@@ -7,17 +7,20 @@ left-factoring p-th powers out of PBW monomials.  zp is linear and
 coordinates are unique, so zp(x^m) is memoized per PBW monomial on the
 algebra (``_pbw_memo["zp-coordinates"]``); a monomial whose exponents
 >= p fall only on variables with x_i^[p] = 0 is the one term
-xi^(m // p) x^(m mod p) and needs no entry.  Ranks over the fraction
-field of the p-center are obtained by specializing the formal xi at
-RANK_TRIALS random points of F_{p^e} (maximum rank), e the smallest with
-p^e >= 4 n^2 d for d the largest total xi-degree of a row: each rank is
-an attained lower bound, equal to the true rank with Schwartz-Zippel
-confidence.  The coordinate terms are gathered once into index arrays
-(row, column, xi-monomial, coefficient); each point evaluates each
-xi-monomial once and scatter-adds the terms.  One class, ``_Span``,
-ranks every such matrix: per point, a ``matops.PrimeEchelon`` of the
-blocked F_p rows, each block reduced by one ``linalg.matmul_modp``
-product, exact at every p of the int64 envelope.  The oracle's u_chi is
+xi^(m // p) x^(m mod p) and needs no entry.  The verdict's spin keeps
+a table of its own, T[m, j] = zp(x^m g_j) for a reduced monomial m and
+a generator g_j (``_SpinRows``), for as long as it runs.  Ranks over the
+fraction field of the p-center are obtained by specializing the formal
+xi at RANK_TRIALS random points of F_{p^e} (maximum rank), e the
+smallest with p^e >= 4 n^2 d for d the largest total xi-degree of a row:
+each rank is an attained lower bound, equal to the true rank with
+Schwartz-Zippel confidence.  The coordinate terms are gathered once
+into index arrays (row, column, xi-monomial, coefficient); each point
+evaluates each xi-monomial once and scatter-adds the terms.  One
+class, ``_Span``, ranks every such matrix: per point, a
+``matops.PrimeEchelon`` of the blocked F_p rows, each block reduced by
+one ``linalg.matmul_modp`` product, exact at every p of the int64
+envelope.  The oracle's u_chi is
 the same specialization at xi = chi^p (``redenv.regular_representation``).
 
 ``rank_over_frobenius_subring`` (``kw1 lemma1``) is the commutative
@@ -31,12 +34,16 @@ The verdict reads the rank of the algebra the degree <= D slice of the
 center generates with a spin (``_spin_ranks``), run at one point after
 another.  Its generators are the slice's basis elements of positive
 degree, lowest degree first.  It spans the rows of 1 and of the
-generators, then takes each generator g in turn: every element kept so
-far is multiplied by g, a product whose row grows the span is kept and
-multiplied by g again, and so on until nothing grows.  A generator whose
-own row grew no span is passed over.  This is exact: specializing is an
-algebra map onto u_xi, and central elements commute, so if the span V is
-an algebra closed under the generators before g, then
+generators, then takes each generator g in turn: every row kept so far
+is multiplied by g, a product that grows the span is kept and
+multiplied by g again, and so on until nothing grows.  A row is the zp
+coordinates of its element, and so is a product: xi is central, so
+zp(y g) = sum c xi^u zp(x^m g) over the terms (m, u, c) of zp(y), and
+only reduced monomials times a generator are straightened, each once
+(the table T).  A generator whose own row grew no span is passed over.
+This is exact: specializing is an algebra map onto u_xi, and central
+elements commute, so if the span V is an algebra closed under the
+generators before g, then
 V + V g + V g^2 + ... is one closed under g too (V g^k h = V h g^k), and
 a generator passed over lies in the span of 1 and the generators before
 it, so in V already.  A product kept in g's turn is multiplied only by g
@@ -45,15 +52,15 @@ on: for h before g, (y g) h = (y h) g, with y h in the span by induction
 on the factors.  So the span ends as the image of the algebra at the
 point, with no round cap; the spin stops by itself, or once the span is
 all p^n reduced monomials, which ends the search.  The rank is the
-largest point's dimension, and a later point reads the products and
-coordinate maps earlier ones formed from a table, so only one echelon is
-held at a time and no product is formed twice.  The D-1 generators come
-first, so the same run reads the D-1 rank and ``stabilized``.  No later
-point is spun once both ranks reach p^ind: ``index_generic`` bounds the
-index from above and the rank over the p-center is at most p^ind (the
-inequality ``kw1_verdict`` checks), so a later point could raise
-neither.  A product that needs a larger e than the field's starts the
-search again over that field, from the same table.
+largest point's dimension, and a later point reads the products
+earlier ones formed, so only one echelon is held at a time and no
+product is formed twice.  The D-1 generators come first, so the same
+run reads the D-1 rank and ``stabilized``.  No later point is spun once
+both ranks reach p^ind: ``index_generic`` bounds the index from above
+and the rank over the p-center is at most p^ind (the inequality
+``kw1_verdict`` checks), so a later point could raise neither.  A
+product that needs a larger e than the field's starts the search again
+over that field, from the same products and the same table T.
 
 ``center_basis_bounded`` is an exact nullspace computation: the span of
 PBW monomials of bounded degree is stable under all [x_i, -], and the
@@ -205,20 +212,22 @@ def _monomial_coordinates(alg: ModularLieAlgebra, mono, pmapped):
     ``pmapped[i]`` says whether x_i^[p] is nonzero.  When every exponent
     >= p falls on a variable with x_i^[p] = 0, x^mono = xi^(mono // p)
     x^(mono mod p) is a single term, built on the spot.  Otherwise the
-    leftmost such block of p letters is rewritten, x^mono = xi_hot
-    x^reduced + x^prefix x_hot^[p] x^remainder, each part by recursion on
-    smaller degree, and the pairs are memoized on the algebra like
-    straightening.
+    leftmost block of p letters is rewritten, x^mono = xi_hot x^reduced +
+    x^prefix x_hot^[p] x^remainder, each part by recursion on smaller
+    degree, and the pairs are memoized on the algebra like straightening.
+    x^prefix is reduced, and it multiplies x_hot^[p] x^remainder once that
+    is straightened, so every straightening here starts from a reduced
+    monomial on the left.
     """
     p = alg.p
-    hot = next((i for i, a in enumerate(mono) if a >= p and pmapped[i]), None)
-    if hot is None:
+    if all(a < p or not pm for a, pm in zip(mono, pmapped)):
         return (((tuple(a % p for a in mono), tuple(a // p for a in mono)), 1),)
     memo = alg._pbw_memo.setdefault("zp-coordinates", {})
     hit = memo.get(mono)
     if hit is not None:
         return hit
     # x^mono = x^prefix . x_hot^p . x^remainder, and xi_hot is central
+    hot = next(i for i, a in enumerate(mono) if a >= p)
     prefix = tuple(a if k < hot else 0 for k, a in enumerate(mono))
     remainder = tuple(a - p if k == hot else (a if k > hot else 0) for k, a in enumerate(mono))
     reduced = tuple(a - p if k == hot else a for k, a in enumerate(mono))
@@ -230,13 +239,28 @@ def _monomial_coordinates(alg: ModularLieAlgebra, mono, pmapped):
     for l, cl in enumerate(alg.restricted.vector(hot)):
         if not cl:
             continue
-        for m1, c1 in _mono_times_letter(alg, prefix, l).items():
-            for m2, c2 in _mono_times_mono(alg, m1, remainder).items():
+        letter = tuple(int(k == l) for k in range(len(mono)))
+        for m1, c1 in _mono_times_mono(alg, letter, remainder).items():
+            for m2, c2 in _mono_times_mono(alg, prefix, m1).items():
                 c = cl * c1 * c2
                 for key, a in _monomial_coordinates(alg, m2, pmapped):
                     out[key] = get(key, 0) + c * a
     result = memo[mono] = tuple(reduce_sparse(out, p).items())
     return result
+
+
+def _zp_terms(alg: ModularLieAlgebra, terms: dict) -> dict:
+    """zp of the element with PBW ``terms`` (ints).
+
+    A map (reduced monomial, xi exponents) -> residue, zeros dropped.
+    """
+    pmapped = tuple(any(alg.restricted.vector(i)) for i in range(alg.n))
+    out: dict = {}
+    get = out.get
+    for mono, c in terms.items():
+        for key, v in _monomial_coordinates(alg, mono, pmapped):
+            out[key] = get(key, 0) + c * v
+    return reduce_sparse(out, alg.p)
 
 
 def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
@@ -249,20 +273,22 @@ def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
     """
     if alg.restricted is None:
         raise ValueError("algebra carries no restricted structure")
-    p = alg.p
-    pmapped = tuple(any(alg.restricted.vector(i)) for i in range(alg.n))
-    out: dict = {}
-    get = out.get
-    for mono, c in a.terms.items():
-        for key, v in _monomial_coordinates(alg, mono, pmapped):
-            out[key] = get(key, 0) + c * v
     coords: dict = {}
-    for (mono, xi), v in out.items():
-        if v % p:
-            coords.setdefault(mono, {})[xi] = v % p
+    for (mono, xi), v in _zp_terms(alg, a.terms).items():
+        coords.setdefault(mono, {})[xi] = v
     return ZpCoordinateVector(
         alg, {mono: SymPoly._reduced(alg.field, alg.n, terms) for mono, terms in coords.items()}
     )
+
+
+def _product_coordinates(alg: ModularLieAlgebra, mono, gen: UEElement) -> dict:
+    """``_zp_terms`` of x^mono gen, for a reduced monomial ``mono``."""
+    raw: dict = {}
+    get = raw.get
+    for mb, cb in gen.terms.items():
+        for m2, c2 in _mono_times_mono(alg, mono, mb).items():
+            raw[m2] = get(m2, 0) + cb * c2
+    return _zp_terms(alg, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -409,13 +435,37 @@ def center_basis_bounded(
 # ranks over the p-center
 # ---------------------------------------------------------------------------
 
-class _CoordinateTerms:
-    """Every term of a growing list of coordinate maps, in index arrays.
+def _term_arrays(pairs, index: dict, monomials: list, num_vars: int):
+    """Terms ((reduced monomial, xi exponents), coefficient) as arrays.
 
-    Row r of the matrix is the r-th map given, column c the reduced
+    Returns (monomial numbers, xi exponents, coefficients); a reduced
+    monomial met for the first time is numbered in ``index`` and appended
+    to ``monomials``.
+    """
+    cols, exps, coef = [], [], []
+    for (m, xi), a in pairs:
+        c = index.get(m)
+        if c is None:
+            c = index[m] = len(monomials)
+            monomials.append(m)
+        cols.append(c)
+        exps.append(xi)
+        coef.append(a)
+    return (
+        np.array(cols, dtype=np.intp),
+        np.array(exps, dtype=np.int64).reshape(len(cols), num_vars),
+        np.array(coef, dtype=np.int64),
+    )
+
+
+class _CoordinateTerms:
+    """Every term of a growing list of coordinate rows, in index arrays.
+
+    Row r of the matrix is the r-th row given, column c the reduced
     monomial ``columns[c]`` (the ``columns`` given first, then numbered
-    in the order first met), and the entry the polynomial
-    ``maps[r][columns[c]]``.  Term t adds
+    in the order first met), and the entry a polynomial in xi.  The
+    constructor takes each row as a coordinate map, reduced monomial ->
+    ``SymPoly``; ``extend`` takes arrays (``_term_arrays``).  Term t adds
     ``coef[t] * xi^exponents[mono[t]]`` to entry (row[t], col[t]), so a
     specialization evaluates each distinct xi-monomial once and scatters
     the products.  ``extend`` gathers only the rows it is given, so a
@@ -430,31 +480,44 @@ class _CoordinateTerms:
         self.rows = 0
         self.row = self.col = self.mono = np.zeros(0, dtype=np.intp)
         self.coef = np.zeros(0, dtype=np.int64)
-        self.extend(maps)
+        index: dict = {}
+        monomials: list = []
+        rows = [
+            _term_arrays(
+                (((m, xi), a) for m, poly in coords.items() for xi, a in poly.terms.items()),
+                index, monomials, num_vars,
+            )
+            for coords in maps
+        ]
+        self.extend(rows, monomials)
 
-    def extend(self, maps):
-        """Append one row per coordinate map."""
-        col_index, mono_ids, columns = self._col_index, self._mono_ids, self.columns
-        row, col, mono, coef = [], [], [], []
-        for r, coords in enumerate(maps, self.rows):
-            for m, poly in coords.items():
-                c = col_index.get(m)
-                if c is None:
-                    c = col_index[m] = len(columns)
-                    columns.append(m)
-                for xi, a in poly.terms.items():
-                    row.append(r)
-                    col.append(c)
-                    mono.append(mono_ids.setdefault(xi, len(mono_ids)))
-                    coef.append(a)
-        self.rows += len(maps)
-        self.row = np.concatenate([self.row, np.array(row, dtype=np.intp)])
-        self.col = np.concatenate([self.col, np.array(col, dtype=np.intp)])
-        self.mono = np.concatenate([self.mono, np.array(mono, dtype=np.intp)])
-        self.coef = np.concatenate([self.coef, np.array(coef, dtype=np.int64)])
-        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(
-            len(mono_ids), self.num_vars
-        )
+    def extend(self, rows, monomials):
+        """Append one row per (monomial numbers, xi exponents, coefficients) triple.
+
+        ``monomials[k]`` is the reduced monomial numbered k.
+        """
+        n = self.num_vars
+        sizes = [len(cols) for cols, _, _ in rows]
+        cols = np.concatenate([np.zeros(0, dtype=np.intp)] + [cols for cols, _, _ in rows])
+        exps = np.concatenate([np.zeros((0, n), dtype=np.int64)] + [x for _, x, _ in rows])
+        coef = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for _, _, c in rows])
+        # the columns met first in the order they are met
+        numbers, first = np.unique(cols, return_index=True)
+        col_index, columns = self._col_index, self.columns
+        for k in numbers[np.argsort(first)].tolist():
+            if monomials[k] not in col_index:
+                col_index[monomials[k]] = len(columns)
+                columns.append(monomials[k])
+        lookup = np.array([col_index[monomials[k]] for k in numbers.tolist()], dtype=np.intp)
+        mono_ids = self._mono_ids
+        ids = [mono_ids.setdefault(x, len(mono_ids)) for x in map(tuple, exps.tolist())]
+        numbered = np.repeat(np.arange(self.rows, self.rows + len(rows)), sizes)
+        self.row = np.concatenate([self.row, numbered])
+        self.col = np.concatenate([self.col, lookup[np.searchsorted(numbers, cols)]])
+        self.mono = np.concatenate([self.mono, np.array(ids, dtype=np.intp)])
+        self.coef = np.concatenate([self.coef, coef])
+        self.rows += len(rows)
+        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(len(mono_ids), n)
 
     @property
     def max_degree(self) -> int:
@@ -607,12 +670,82 @@ def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed
     return rank
 
 
+class _SpinRows:
+    """The spin's rows: zp coordinates of 1 and of products row . generator.
+
+    Row r is its terms as arrays (``_term_arrays``, reduced monomials
+    numbered in ``monomials``), formed with generator ``made_with[r]``.
+    The product of row r and generator j is the sum of c xi^u T[m, j]
+    over the terms (m, u, c) of row r, where T[m, j] = zp(x^m gens[j])
+    (``_product_coordinates``): xi is central, so a product straightens
+    only x^m gens[j] for reduced monomials m.  Each product and each
+    T[m, j] is formed once and read by every point and every field the
+    search tries.
+    """
+
+    def __init__(self, alg: ModularLieAlgebra, gens):
+        self.alg, self.gens = alg, gens
+        self.monomials: list = []
+        self._index: dict = {}
+        unit = (0,) * alg.n
+        self.rows = [_term_arrays([((unit, unit), 1)], self._index, self.monomials, alg.n)]
+        self.made_with = [0]
+        self.formed: dict = {}  # (row, generator index) -> row of their product
+        self.table: list = [{} for _ in gens]  # table[j][number of m] -> T[m, j]
+        self.terms = _CoordinateTerms([], alg.n)
+        self.terms.extend(self.rows, self.monomials)
+
+    def products(self, pairs) -> list:
+        """The rows of the products of (row, generator index) ``pairs``, forming the new ones."""
+        new = [pair for pair in pairs if pair not in self.formed]
+        for r, j in new:
+            self.formed[r, j] = len(self.rows)
+            self.rows.append(self.times(r, j))
+            self.made_with.append(j)
+        self.terms.extend(self.rows[len(self.rows) - len(new):], self.monomials)
+        if len(self.terms.columns) > MONOMIAL_CAP:
+            raise DegreeBoundTooLargeForMemory(len(self.terms.columns), MONOMIAL_CAP)
+        return [self.formed[pair] for pair in pairs]
+
+    def times(self, r: int, j: int):
+        """Row r times generator j, as arrays with equal terms summed and zeros dropped."""
+        alg, table = self.alg, self.table[j]
+        cols, exps, coef = self.rows[r]
+        blocks = []
+        for m in cols.tolist():
+            t = table.get(m)
+            if t is None:
+                pairs = _product_coordinates(alg, self.monomials[m], self.gens[j]).items()
+                t = table[m] = _term_arrays(pairs, self._index, self.monomials, alg.n)
+            blocks.append(t)
+        if len(blocks) == 1:
+            # c xi^u T[m, j] has T's distinct keys, and c T's nonzero residues
+            t_cols, t_exps, t_coef = blocks[0]
+            return t_cols, t_exps + exps, t_coef * coef % alg.p
+        sizes = [len(t[0]) for t in blocks]
+        keys = np.column_stack([
+            np.concatenate([t[0] for t in blocks]),
+            np.concatenate([t[1] for t in blocks]) + np.repeat(exps, sizes, axis=0),
+        ])
+        # residues below p, so each product fits int64 (require_exact_prime)
+        vals = np.concatenate([t[2] for t in blocks]) * np.repeat(coef, sizes) % alg.p
+        order = np.lexsort(keys.T[::-1])
+        keys, vals = keys[order], vals[order]
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+        starts = np.flatnonzero(first)
+        sums = np.add.reduceat(vals, starts) % alg.p
+        keys = keys[starts[sums != 0]]
+        return keys[:, 0].astype(np.intp), np.ascontiguousarray(keys[:, 1:]), sums[sums != 0]
+
+
 def _spin_ranks(alg: ModularLieAlgebra, first, then, ceiling: int, seed: int, min_ext: int = 1):
     """(rank over ``first``, rank over both, field) of the algebras central elements generate.
 
     See the module docstring; e is at least ``min_ext``, and no point is
     spun after one that reads ``ceiling``, an upper bound on both ranks,
-    for both.
+    for both.  The rows are zp coordinates, and a product is formed in
+    them (``_SpinRows``), never as an element of U(g).
     """
     n, p = alg.n, alg.p
     full = p**n
@@ -620,29 +753,18 @@ def _spin_ranks(alg: ModularLieAlgebra, first, then, ceiling: int, seed: int, mi
     split = len(gens)
     gens += sorted((el for el in then if el.degree > 0), key=lambda el: el.degree)
     point_seed = derive_seed("specialize", alg.signature(), seed)
-    made = [(ue_one(alg), 0)]  # each row's element and the generator it was formed with
-    terms = _CoordinateTerms([zp_coordinates(made[0][0], alg).coordinates], n)
-    formed = {}  # (row, generator index) -> row of their product
+    made = _SpinRows(alg, gens)
+    terms = made.terms
 
     def field_degree():
         return max(sz_extension_degree(p, n, terms.max_degree), min_ext)
-
-    def products(pairs):
-        new = [pair for pair in pairs if pair not in formed]
-        for r, j in new:
-            formed[r, j] = len(made)
-            made.append((gens[j] if r == 0 else made[r][0] * gens[j], j))
-        terms.extend([zp_coordinates(el, alg).coordinates for el, _ in made[len(made) - len(new):]])
-        if len(terms.columns) > MONOMIAL_CAP:
-            raise DegreeBoundTooLargeForMemory(len(terms.columns), MONOMIAL_CAP)
-        return [formed[pair] for pair in pairs]
 
     def spin(span):
         e = span.field.e
         kept = span.insert(terms, [0], full)
         ranks = []
         for lo, hi in ((0, split), (split, len(gens))):
-            own = products([(0, j) for j in range(lo, hi)]) if span.rank < full else []
+            own = made.products([(0, j) for j in range(lo, hi)]) if span.rank < full else []
             if field_degree() > e:
                 return None
             grown = set(span.insert(terms, own, full))
@@ -650,10 +772,10 @@ def _spin_ranks(alg: ModularLieAlgebra, first, then, ceiling: int, seed: int, mi
             for j, gen_row in enumerate(own, lo):
                 if gen_row not in grown or span.rank == full:
                     continue
-                frontier = [r for r in kept[1:] if made[r][1] <= j]
+                frontier = [r for r in kept[1:] if made.made_with[r] <= j]
                 while frontier and span.rank < full:
                     _check_spin_budget(span.echelon.dim, len(frontier) * e, len(terms.columns) * e)
-                    rows = products([(r, j) for r in frontier])
+                    rows = made.products([(r, j) for r in frontier])
                     if field_degree() > e:
                         return None
                     frontier = span.insert(terms, rows, full)
@@ -723,13 +845,16 @@ def fraction_field_degree(
     exponent = p * j_blocks
     point_seed = derive_seed("specialize", alg.signature(), seed)
     terms = _CoordinateTerms([], alg.n)
+    index: dict = {}
+    monomials: list = []
     psi_pow = [ue_one(alg)]
     for _ in range(exponent):
         psi_pow.append(psi_pow[-1] * psi)
     phi_pow = ue_one(alg)
     for d in range(power_bound + 1):
         v = phi_pow * psi_pow[exponent - d]
-        terms.extend([zp_coordinates(v, alg).coordinates])
+        row = _term_arrays(_zp_terms(alg, v.terms).items(), index, monomials, alg.n)
+        terms.extend([row], monomials)
         if d >= 1 and _specialized_rank(terms, p, alg.n, "spec-field", seed, point_seed) < d + 1:
             return d
         phi_pow = phi_pow * phi

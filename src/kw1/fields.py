@@ -240,24 +240,6 @@ class GF:
             return x
         raise CoefficientFieldMismatch(f"cannot read {x!r} as a scalar of {self!r}")
 
-    def mul_matrix(self, a):
-        """Rows of the e x e F_p-matrix of multiplication by ``a``.
-
-        Entry [i][j] is coefficient i of a * t^j; used to turn rank
-        problems over F_{p^e} into rank problems over F_p.
-        """
-        cols = [self.coefficients(a)]
-        while len(cols) < self.e:
-            cur = cols[-1]
-            shifted = (0,) + cur[:-1]
-            top = cur[-1]
-            if top:
-                shifted = tuple(
-                    (s + top * r) % self.p for s, r in zip(shifted, self._red[0])
-                )
-            cols.append(shifted)
-        return [list(row) for row in zip(*cols)]
-
 
 class FFElem:
     """Element of a GF(p, e) with e > 1; immutable, supports field arithmetic."""

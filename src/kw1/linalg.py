@@ -146,10 +146,6 @@ def matmul_modp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def rank_modp(a: np.ndarray, p: int) -> int:
-    return len(_eliminate(a % p, p, reduce_above=False))
-
-
 def nullspace_modp(a: np.ndarray, p: int) -> np.ndarray:
     """Right nullspace basis, one vector per row."""
     cols = a.shape[1]
@@ -332,13 +328,12 @@ def _fill_blocks(big: np.ndarray, field: GF) -> np.ndarray:
 
     The blocked form is the F_p form of a matrix over F_{p^e}, by the
     regular representation: entry a becomes the e x e block of
-    multiplication by a, whose entry [i][j] is coefficient i of a * t^j
-    (as in ``GF.mul_matrix``).  Block column 0 holds the coefficients of
-    a; block column j is block column j - 1 times t, a shift folded
-    through the reduction table, written straight into the final layout
-    one (rows, cols) slice at a time, so no temporary is allocated.
-    int64: each entry is one residue plus a product of two, below
-    p (p - 1).
+    multiplication by a, whose entry [i][j] is coefficient i of a * t^j.
+    Block column 0 holds the coefficients of a; block column j is block
+    column j - 1 times t, a shift folded through the reduction table,
+    written straight into the final layout one (rows, cols) slice at a
+    time, so no temporary is allocated.  int64: each entry is one residue
+    plus a product of two, below p (p - 1).
     """
     p, e = field.p, field.e
     # a view: blocks[r, i, c, j] is big[r * e + i, c * e + j]

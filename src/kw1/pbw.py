@@ -110,6 +110,8 @@ def _mono_times_mono(ctx, a, b):
     """Normal form of x^a * x^b, folding the letters of b left to right."""
     if not any(b):
         return {a: ctx.field.scalar(1)}
+    if not any(a):
+        return {b: ctx.field.scalar(1)}
     memo = ctx._pbw_memo
     key = (a, b)
     hit = memo.get(key)

@@ -30,6 +30,7 @@ from kw1.center import (
     zp_subalgebra_contains,
 )
 from kw1.cli import RunConfig, _prepare, run
+from kw1.fields import prime_field
 from kw1.pbw import ue_monomial, ue_one
 from kw1.redenv import max_irreducible_dim
 from kw1.registry import get_example
@@ -55,9 +56,9 @@ def _span_matrix(alg, elements, bound):
 def _same_span(alg, first, second, bound):
     a = _span_matrix(alg, first, bound)
     b = _span_matrix(alg, second, bound)
-    ra = linalg.rank_modp(a, alg.p)
-    rb = linalg.rank_modp(b, alg.p)
-    rboth = linalg.rank_modp(np.vstack([a, b]), alg.p)
+    ra = linalg.rank(a[:, :, None], prime_field(alg.p))
+    rb = linalg.rank(b[:, :, None], prime_field(alg.p))
+    rboth = linalg.rank(np.vstack([a, b])[:, :, None], prime_field(alg.p))
     return ra == rb == rboth
 
 

@@ -137,6 +137,30 @@ def test_zp_coordinates_match_whole_element_worklist(data):
     assert got.reassemble() == a
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_coordinate_product_is_zp_of_the_product(data):
+    # zp(a b) = sum of c xi^u zp(x^m b) over the terms (m, u, c) of zp(a),
+    # for every b: xi is central, so b need not be
+    from kw1.pbw import UEElement
+
+    name = data.draw(st.sampled_from(["sl2", "gl2", "heisenberg", "remark:1:2"]))
+    p = data.draw(st.sampled_from([2, 3, 5]))
+    alg = _prepare(get_example(name), p)
+    mono = st.tuples(*[st.integers(0, 2 * p)] * alg.n)
+    a, b = (
+        UEElement(alg, data.draw(st.dictionaries(mono, st.integers(1, p - 1), min_size=1, max_size=3)))
+        for _ in range(2)
+    )
+    rows = center._SpinRows(alg, [b])
+    pairs = center._zp_terms(alg, a.terms).items()
+    rows.rows[0] = center._term_arrays(pairs, rows._index, rows.monomials, alg.n)
+    cols, exps, coef = rows.times(0, 0)
+    got = {(rows.monomials[c], tuple(x)): v for c, x, v in zip(cols.tolist(), exps.tolist(), coef.tolist())}
+    want = zp_coordinates(a * b, alg).coordinates
+    assert got == {(m, xi): c for m, poly in want.items() for xi, c in poly.terms.items()}
+
+
 def test_center_basis_remark_golden(make_algebra):
     alg = make_algebra("remark:1:1", 3)
     cb = center_basis_bounded(alg, 4, seed=0)
@@ -245,7 +269,7 @@ def test_frobenius_rank_of_monomials_closed_form(data):
     rows = data.draw(st.lists(st.tuples(*[st.integers(0, p + 1)] * n), max_size=3))
     coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(rows), max_size=len(rows)))
     gens = [{m: c} for m, c in zip(rows, coeffs)]
-    span = linalg.rank_modp(np.array(rows, dtype=np.int64).reshape(len(rows), n), p)
+    span = linalg.rank(np.array(rows, dtype=np.int64).reshape(len(rows), n, 1), prime_field(p))
     assert rank_over_frobenius_subring(n, gens, p, seed=0) == p ** (n - span)
 
 
@@ -468,43 +492,44 @@ def test_gathered_rows_match_evaluate(e):
 
 
 @pytest.mark.parametrize("name,p", [("sl2", 5), ("gl2", 3)])
-def test_closures_form_each_product_and_coordinate_map_once(make_algebra, monkeypatch, name, p):
-    """The spin multiplies each element it keeps by a generator at most
-    once, only elements it kept and only by slice elements, and maps each
-    row it forms to coordinates once: the unit, the generators and the
-    products."""
-    from kw1.pbw import UEElement
+def test_spin_straightens_only_reduced_monomials_once(make_algebra, monkeypatch, name, p):
+    """The spin forms each (row, generator) product once and each
+    T[m, j] = zp(x^m gens[j]) once, across all points, and every
+    straightening it starts has a reduced monomial (exponents < p) on the
+    left: a row is multiplied in its zp coordinates, never as an element."""
+    from kw1 import pbw
 
     alg = make_algebra(name, p)
     bound = center.default_degree_bound(alg)
     elements = center._center_space(alg, bound)
+    prev = [el for el in elements if el.degree < bound]
+    top = [el for el in elements if el.degree == bound]
+    formed, tabled, lefts = [], [], []
+    real_times, real_table = center._SpinRows.times, center._product_coordinates
 
-    def key(el):
-        return frozenset(el.terms.items())
+    def times(rows, r, j):
+        formed.append((r, j))
+        return real_times(rows, r, j)
 
-    gens = {key(el) for el in elements if el.degree > 0}
-    reached = set(gens)  # elements a product may start from
-    multiplied, coordinated = [], []
-    real_mul, real_zp = UEElement.__mul__, center.zp_coordinates
+    def table(alg, mono, gen):
+        tabled.append((mono, frozenset(gen.terms.items())))
+        return real_table(alg, mono, gen)
 
-    def mul(a, b):
-        assert key(a) in reached and key(b) in gens
-        multiplied.append((key(a), key(b)))
-        prod = real_mul(a, b)
-        reached.add(key(prod))
-        return prod
+    def straighten(real):
+        def run(ctx, a, b):
+            lefts.append(a)
+            return real(ctx, a, b)
+        return run
 
-    def zp(a, alg):
-        coordinated.append(key(a))
-        return real_zp(a, alg)
-
-    monkeypatch.setattr(center, "_center_space", lambda alg, bound: elements)
-    monkeypatch.setattr(UEElement, "__mul__", mul)
-    monkeypatch.setattr(center, "zp_coordinates", zp)
-    cb = center_basis_bounded(alg, bound, seed=0)
-    assert (cb.rank, cb.stabilized) == (p ** index_generic(alg, 3, 0), True)
-    assert multiplied and len(multiplied) == len(set(multiplied)), name
-    assert len(coordinated) == 1 + len(gens) + len(multiplied), name
+    monkeypatch.setattr(center._SpinRows, "times", times)
+    monkeypatch.setattr(center, "_product_coordinates", table)
+    monkeypatch.setattr(pbw, "_mono_times_mono", straighten(pbw._mono_times_mono))
+    monkeypatch.setattr(center, "_mono_times_mono", straighten(center._mono_times_mono))
+    ceiling = p ** index_generic(alg, 3, 0)
+    assert center._spin_ranks(alg, prev, top, ceiling, 0)[:2] == (ceiling, ceiling)
+    assert formed and len(formed) == len(set(formed)), name
+    assert tabled and len(tabled) == len(set(tabled)), name
+    assert lefts and all(a < p for left in lefts for a in left), name
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kw1 import fastpoly
+from kw1 import fastpoly, linalg
 from kw1.errors import CoefficientFieldMismatch, DenominatorDivisibleByP
 from kw1.fields import (
     GF,
@@ -34,7 +34,6 @@ def test_prime_field_arithmetic():
     assert all(f5.random_nonzero(rng) for _ in range(20))
     assert all(type(x) is int for x in made + [f5.random(rng), f5.random_nonzero(rng)])
     assert f5.coefficients(3) == (3,) and f5.coefficients(-1) == (4,)
-    assert f5.mul_matrix(3) == [[3]]
 
 
 def test_rational_reduction():
@@ -86,12 +85,15 @@ def test_embedding_and_coercion():
 
 
 def test_mul_matrix_is_multiplication():
+    """The block ``linalg`` builds for a is the F_p-matrix of b -> a b."""
     f = galois_field(3, 3)
     rng = random.Random(5)
     for _ in range(20):
         a = f.random(rng)
         b = f.random(rng)
-        rows = f.mul_matrix(a)
+        big, first = linalg.blocked_form(1, 1, f)
+        first[...] = f.coefficients(a)
+        rows = linalg._fill_blocks(big, f).tolist()
         coeffs = tuple(
             sum(rows[i][j] * b.coeffs[j] for j in range(3)) % 3 for i in range(3)
         )
