@@ -702,7 +702,8 @@ class _SpinRows:
             self.formed[r, j] = len(self.rows)
             self.rows.append(self.times(r, j))
             self.made_with.append(j)
-        self.terms.extend(self.rows[len(self.rows) - len(new):], self.monomials)
+        if new:
+            self.terms.extend(self.rows[len(self.rows) - len(new):], self.monomials)
         if len(self.terms.columns) > MONOMIAL_CAP:
             raise DegreeBoundTooLargeForMemory(len(self.terms.columns), MONOMIAL_CAP)
         return [self.formed[pair] for pair in pairs]
