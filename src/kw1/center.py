@@ -2,8 +2,9 @@
 
 The enveloping algebra of a restricted Lie algebra is a free module of
 rank p^n over the central subalgebra generated by xi_i = x_i^p - x_i^[p];
-``zp_coordinates`` computes coordinates in that module by repeatedly
-left-factoring p-th powers out of PBW monomials.  zp is linear and
+``_zp_terms`` computes coordinates in that module by repeatedly
+left-factoring p-th powers out of PBW monomials (``zp_coordinates``, the
+public form, returns them as ``SymPoly`` maps).  zp is linear and
 coordinates are unique, so zp(x^m) is memoized per PBW monomial on the
 algebra (``_pbw_memo["zp-coordinates"]``); a monomial whose exponents
 >= p fall only on variables with x_i^[p] = 0 is the one term
@@ -14,9 +15,9 @@ fraction field of the p-center are obtained by specializing the formal
 xi at RANK_TRIALS random points of F_{p^e} (maximum rank), e the
 smallest with p^e >= 4 n^2 d for d the largest total xi-degree of a row:
 each rank is an attained lower bound, equal to the true rank with
-Schwartz-Zippel confidence.  The coordinate terms are gathered once
-into index arrays (row, column, xi-monomial, coefficient); each point
-evaluates each xi-monomial once and scatter-adds the terms.  One
+Schwartz-Zippel confidence.  A coordinate row has one form, arrays of
+its terms held once in a ``_CoordinateTerms`` (``row``); each point
+evaluates each xi-monomial once and scatter-adds the rows it reads.  One
 class, ``_Span``, ranks every such matrix: per point, a
 ``matops.PrimeEchelon`` of the blocked F_p rows, each block reduced by
 one ``linalg.matmul_modp`` product, exact at every p of the int64
@@ -28,7 +29,8 @@ model: the rank of A = F_p[x_1..x_n] over B . A^p.  Its generating set
 is exact: for g in A, g^p = g(x^p) lies in A^p, so B . A^p is spanned
 over A^p by the products prod_j g_j^{k_j} with 0 <= k_j < p, which are
 ranked once.  A is U(abelian:n) with the zero p-map, where xi_i = x_i^p,
-so the coordinates over A^p are ``zp_coordinates``.
+so the coordinate of c x^a over A^p is the one term c xi^(a div p)
+x^(a mod p).
 
 The verdict reads the rank of the algebra the degree <= D slice of the
 center generates with a spin (``_spin_ranks``), run at one point after
@@ -84,7 +86,8 @@ dense with the copy its nullspace reduces (``_check_matrix_budget``, an
 upper bound on every component's block), and the echelons of a rank with
 the rows a step may add to them and its working blocks
 (``_check_spin_budget``, before the spin forms a step's products and
-again before it ranks them).  ``MONOMIAL_CAP`` bounds the monomials of
+again before it ranks them, and as lemma1 keeps each product and
+power).  ``MONOMIAL_CAP`` bounds the monomials of
 the commutator matrix and the reduced monomials the spin's rows meet.
 Each refuses with ``DegreeBoundTooLargeForMemory``.
 """
@@ -105,7 +108,7 @@ from .errors import (
     ZeroElement,
 )
 from .fields import GF, galois_field, prime_field, reduce_sparse, render_poly_modp
-from .liealg import ModularLieAlgebra, RestrictedStructure, index_generic
+from .liealg import ModularLieAlgebra, index_generic
 from .matops import PrimeEchelon
 from .pbw import (
     SymPoly,
@@ -254,6 +257,8 @@ def _zp_terms(alg: ModularLieAlgebra, terms: dict) -> dict:
 
     A map (reduced monomial, xi exponents) -> residue, zeros dropped.
     """
+    if alg.restricted is None:
+        raise ValueError("algebra carries no restricted structure")
     pmapped = tuple(any(alg.restricted.vector(i)) for i in range(alg.n))
     out: dict = {}
     get = out.get
@@ -271,8 +276,6 @@ def zp_coordinates(a: UEElement, alg: ModularLieAlgebra) -> ZpCoordinateVector:
     once.  Coordinates in the free module are unique, so the result does
     not depend on the order of the rewrites.
     """
-    if alg.restricted is None:
-        raise ValueError("algebra carries no restricted structure")
     coords: dict = {}
     for (mono, xi), v in _zp_terms(alg, a.terms).items():
         coords.setdefault(mono, {})[xi] = v
@@ -435,89 +438,80 @@ def center_basis_bounded(
 # ranks over the p-center
 # ---------------------------------------------------------------------------
 
-def _term_arrays(pairs, index: dict, monomials: list, num_vars: int):
-    """Terms ((reduced monomial, xi exponents), coefficient) as arrays.
-
-    Returns (monomial numbers, xi exponents, coefficients); a reduced
-    monomial met for the first time is numbered in ``index`` and appended
-    to ``monomials``.
-    """
-    cols, exps, coef = [], [], []
-    for (m, xi), a in pairs:
-        c = index.get(m)
-        if c is None:
-            c = index[m] = len(monomials)
-            monomials.append(m)
-        cols.append(c)
-        exps.append(xi)
-        coef.append(a)
-    return (
-        np.array(cols, dtype=np.intp),
-        np.array(exps, dtype=np.int64).reshape(len(cols), num_vars),
-        np.array(coef, dtype=np.int64),
-    )
-
-
 class _CoordinateTerms:
-    """Every term of a growing list of coordinate rows, in index arrays.
+    """Coordinate rows, each held once as arrays, and the numbering they share.
 
-    Row r of the matrix is the r-th row given, column c the reduced
-    monomial ``columns[c]`` (the ``columns`` given first, then numbered
-    in the order first met), and the entry a polynomial in xi.  The
-    constructor takes each row as a coordinate map, reduced monomial ->
-    ``SymPoly``; ``extend`` takes arrays (``_term_arrays``).  Term t adds
-    ``coef[t] * xi^exponents[mono[t]]`` to entry (row[t], col[t]), so a
-    specialization evaluates each distinct xi-monomial once and scatters
-    the products.  ``extend`` gathers only the rows it is given, so a
-    spin gathers each row once however often it specializes it.
+    ``row`` holds terms ((reduced monomial, xi exponents), coefficient)
+    as three arrays: the numbers of the monomials (``monomials[k]`` is
+    numbered k), the xi exponents and the coefficients.  ``extend``
+    gathers rows: ``rows[r]`` is row r of the matrix, whose entry in
+    column c, the monomial ``columns[c]``, is a polynomial in xi.  A
+    monomial gets a column (after the ``columns`` given) when a gathered
+    row first meets it, so one met only in rows never gathered (the
+    spin's table T) has none.  A gathered row keeps its xi-monomials as
+    numbers, row ``exponents[k]`` for k, so a specialization evaluates
+    each once and scatter-adds the terms.
     """
 
-    def __init__(self, maps, num_vars: int, columns=()):
+    def __init__(self, num_vars: int, columns=()):
         self.num_vars = num_vars
         self.columns: list = list(columns)
-        self._col_index: dict = {m: c for c, m in enumerate(self.columns)}
-        self._mono_ids: dict = {}
-        self.rows = 0
-        self.row = self.col = self.mono = np.zeros(0, dtype=np.intp)
-        self.coef = np.zeros(0, dtype=np.int64)
-        index: dict = {}
-        monomials: list = []
-        rows = [
-            _term_arrays(
-                (((m, xi), a) for m, poly in coords.items() for xi, a in poly.terms.items()),
-                index, monomials, num_vars,
-            )
-            for coords in maps
-        ]
-        self.extend(rows, monomials)
+        self.monomials: list = list(columns)
+        self._number: dict = {m: k for k, m in enumerate(self.monomials)}
+        self._column_of = np.arange(len(self.columns), dtype=np.intp)  # number -> column, -1 for none
+        self._xi: dict = {}  # xi exponents -> number, in ``exponents`` order
+        self.exponents = np.zeros((0, num_vars), dtype=np.int64)
+        self.rows: list = []  # (monomial numbers, xi-monomial numbers, coefficients)
+        self._all = None  # the terms of every gathered row, concatenated
 
-    def extend(self, rows, monomials):
-        """Append one row per (monomial numbers, xi exponents, coefficients) triple.
+    def row(self, pairs):
+        """Terms ((reduced monomial, xi exponents), coefficient) as (numbers, exponents, coefficients).
 
-        ``monomials[k]`` is the reduced monomial numbered k.
+        A reduced monomial met for the first time is numbered.
         """
-        n = self.num_vars
-        sizes = [len(cols) for cols, _, _ in rows]
-        cols = np.concatenate([np.zeros(0, dtype=np.intp)] + [cols for cols, _, _ in rows])
-        exps = np.concatenate([np.zeros((0, n), dtype=np.int64)] + [x for _, x, _ in rows])
-        coef = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for _, _, c in rows])
-        # the columns met first in the order they are met
-        numbers, first = np.unique(cols, return_index=True)
-        col_index, columns = self._col_index, self.columns
-        for k in numbers[np.argsort(first)].tolist():
-            if monomials[k] not in col_index:
-                col_index[monomials[k]] = len(columns)
-                columns.append(monomials[k])
-        lookup = np.array([col_index[monomials[k]] for k in numbers.tolist()], dtype=np.intp)
-        mono_ids = self._mono_ids
-        ids = [mono_ids.setdefault(x, len(mono_ids)) for x in map(tuple, exps.tolist())]
-        numbered = np.repeat(np.arange(self.rows, self.rows + len(rows)), sizes)
-        self.row = np.concatenate([self.row, numbered])
-        self.col = np.concatenate([self.col, lookup[np.searchsorted(numbers, cols)]])
-        self.mono = np.concatenate([self.mono, np.array(ids, dtype=np.intp)])
-        self.coef = np.concatenate([self.coef, coef])
-        self.rows += len(rows)
-        self.exponents = np.array(list(mono_ids), dtype=np.int64).reshape(len(mono_ids), n)
+        number, monomials = self._number, self.monomials
+        nums, exps, coef = [], [], []
+        for (m, xi), a in pairs:
+            k = number.get(m)
+            if k is None:
+                k = number[m] = len(monomials)
+                monomials.append(m)
+            nums.append(k)
+            exps.append(xi)
+            coef.append(a)
+        return (
+            np.array(nums, dtype=np.intp),
+            np.array(exps, dtype=np.int64).reshape(len(nums), self.num_vars),
+            np.array(coef, dtype=np.int64),
+        )
+
+    def extend(self, rows):
+        """Gather ``rows``, each made by ``row``, as the next rows of the matrix."""
+        if not rows:
+            return
+        nums, exps, coef = zip(*rows)
+        new = len(self.monomials) - len(self._column_of)
+        self._column_of = np.append(self._column_of, np.full(new, -1))
+        # the monomials met first, in the order they are met
+        met, first = np.unique(np.concatenate(nums), return_index=True)
+        met = met[np.argsort(first)]
+        for k in met[self._column_of[met] < 0].tolist():
+            self._column_of[k] = len(self.columns)
+            self.columns.append(self.monomials[k])
+        xi, keys = self._xi, map(tuple, np.concatenate(exps).tolist())
+        numbers = np.array([xi.setdefault(x, len(xi)) for x in keys], dtype=np.intp)
+        if len(xi) > len(self.exponents):
+            self.exponents = np.array(list(xi), dtype=np.int64).reshape(len(xi), self.num_vars)
+        self.rows += zip(nums, np.split(numbers, np.cumsum([len(c) for c in coef])[:-1]), coef)
+        self._all = None
+
+    def _terms(self, rows):
+        """(row positions, columns, xi-monomial numbers, coefficients) of the terms of ``rows``."""
+        # one row without terms, so that no rows (n = 0 in u_chi) give empty arrays
+        none = np.zeros(0, dtype=np.int64)
+        nums, xi, coef = zip(*[self.rows[r] for r in rows], (none, none, none))
+        local = np.repeat(np.arange(len(coef)), [len(c) for c in coef])
+        return local, self._column_of[np.concatenate(nums)], np.concatenate(xi), np.concatenate(coef)
 
     @property
     def max_degree(self) -> int:
@@ -527,14 +521,15 @@ class _CoordinateTerms:
     def values(self, point, field: GF, out=None, rows=None) -> np.ndarray:
         """(rows, cols, e) coefficient array of the matrix at ``point``.
 
-        Only the ``rows`` given (indices, in their order) when given.
+        Only the gathered ``rows`` given (indices, in their order) when
+        given; the terms of all rows are concatenated once per ``extend``.
         Written into ``out`` (zeroed, any strides) when given.  ``point``
         holds one scalar of ``field`` per xi variable, read through
         ``GF.coefficients``.  int64: each term is reduced below p before
         the scatter-add, so an entry hit by T terms stays below T p.  T is
         at most the number of gathered terms; inside
         ``linalg.require_exact_prime``, 2^63 / p is over 3 * 10^9 terms,
-        some 100 GB of index arrays.
+        some 100 GB of arrays.
         """
         p, e = field.p, field.e
         at = np.array([field.coefficients(x) for x in point], dtype=np.int64).reshape(len(point), e)
@@ -558,17 +553,14 @@ class _CoordinateTerms:
         for i in range(at.shape[0]):
             vals = _field_mul(vals, powers[where[:, i], i], field)
         if rows is None:
-            terms, local, count = slice(None), self.row, self.rows
+            if self._all is None:
+                self._all = self._terms(range(len(self.rows)))
+            local, cols, numbers, coef = self._all
         else:
-            # a row's terms are one run of the gathered arrays
-            rows = np.asarray(rows, dtype=np.intp)
-            lo = np.searchsorted(self.row, rows)
-            size = np.searchsorted(self.row, rows, side="right") - lo
-            terms = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-            local, count = np.repeat(np.arange(len(rows)), size), len(rows)
+            local, cols, numbers, coef = self._terms(rows)
         if out is None:
-            out = np.zeros((count, len(self.columns), e), dtype=np.int64)
-        np.add.at(out, (local, self.col[terms]), vals[self.mono[terms]] * self.coef[terms, None] % p)
+            out = np.zeros((len(self.rows if rows is None else rows), len(self.columns), e), dtype=np.int64)
+        np.add.at(out, (local, cols), vals[numbers] * coef[:, None] % p)
         out %= p
         return out
 
@@ -660,10 +652,10 @@ def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed
     """Largest rank of the gathered rows over the RANK_TRIALS points; stops at full rank."""
     e = sz_extension_degree(p, n, terms.max_degree)
     field, points = _sampling(p, n, e, field_tag, seed, point_seed)
-    full, rank = min(terms.rows, len(terms.columns)), 0
+    full, rank = min(len(terms.rows), len(terms.columns)), 0
     for point in points:
         span = _Span(field, point)
-        span.insert(terms, list(range(terms.rows)), full)
+        span.insert(terms, list(range(len(terms.rows))), full)
         rank = max(rank, span.rank)
         if rank == full:
             break
@@ -673,56 +665,50 @@ def _specialized_rank(terms: _CoordinateTerms, p, n, field_tag, seed, point_seed
 class _SpinRows:
     """The spin's rows: zp coordinates of 1 and of products row . generator.
 
-    Row r is its terms as arrays (``_term_arrays``, reduced monomials
-    numbered in ``monomials``), formed with generator ``made_with[r]``.
+    Row r is ``terms.rows[r]``, formed with generator ``made_with[r]``.
     The product of row r and generator j is the sum of c xi^u T[m, j]
     over the terms (m, u, c) of row r, where T[m, j] = zp(x^m gens[j])
-    (``_product_coordinates``): xi is central, so a product straightens
-    only x^m gens[j] for reduced monomials m.  Each product and each
-    T[m, j] is formed once and read by every point and every field the
-    search tries.
+    (``_product_coordinates``), a row of ``terms`` that is never gathered,
+    keyed by m's number: xi is central, so a product straightens only
+    x^m gens[j] for reduced monomials m.  Each product and each T[m, j] is
+    formed once and read by every point and every field the search tries.
     """
 
     def __init__(self, alg: ModularLieAlgebra, gens):
         self.alg, self.gens = alg, gens
-        self.monomials: list = []
-        self._index: dict = {}
+        self.terms = _CoordinateTerms(alg.n)
         unit = (0,) * alg.n
-        self.rows = [_term_arrays([((unit, unit), 1)], self._index, self.monomials, alg.n)]
+        self.terms.extend([self.terms.row([((unit, unit), 1)])])
         self.made_with = [0]
         self.formed: dict = {}  # (row, generator index) -> row of their product
         self.table: list = [{} for _ in gens]  # table[j][number of m] -> T[m, j]
-        self.terms = _CoordinateTerms([], alg.n)
-        self.terms.extend(self.rows, self.monomials)
 
     def products(self, pairs) -> list:
         """The rows of the products of (row, generator index) ``pairs``, forming the new ones."""
         new = [pair for pair in pairs if pair not in self.formed]
-        for r, j in new:
-            self.formed[r, j] = len(self.rows)
-            self.rows.append(self.times(r, j))
+        for k, (r, j) in enumerate(new, len(self.terms.rows)):
+            self.formed[r, j] = k
             self.made_with.append(j)
-        if new:
-            self.terms.extend(self.rows[len(self.rows) - len(new):], self.monomials)
+        self.terms.extend([self.times(r, j) for r, j in new])
         if len(self.terms.columns) > MONOMIAL_CAP:
             raise DegreeBoundTooLargeForMemory(len(self.terms.columns), MONOMIAL_CAP)
         return [self.formed[pair] for pair in pairs]
 
     def times(self, r: int, j: int):
         """Row r times generator j, as arrays with equal terms summed and zeros dropped."""
-        alg, table = self.alg, self.table[j]
-        cols, exps, coef = self.rows[r]
+        alg, terms, table = self.alg, self.terms, self.table[j]
+        nums, xi, coef = terms.rows[r]
+        exps = terms.exponents[xi]
         blocks = []
-        for m in cols.tolist():
+        for m in nums.tolist():
             t = table.get(m)
             if t is None:
-                pairs = _product_coordinates(alg, self.monomials[m], self.gens[j]).items()
-                t = table[m] = _term_arrays(pairs, self._index, self.monomials, alg.n)
+                t = table[m] = terms.row(_product_coordinates(alg, terms.monomials[m], self.gens[j]).items())
             blocks.append(t)
         if len(blocks) == 1:
             # c xi^u T[m, j] has T's distinct keys, and c T's nonzero residues
-            t_cols, t_exps, t_coef = blocks[0]
-            return t_cols, t_exps + exps, t_coef * coef % alg.p
+            t_nums, t_exps, t_coef = blocks[0]
+            return t_nums, t_exps + exps, t_coef * coef % alg.p
         sizes = [len(t[0]) for t in blocks]
         keys = np.column_stack([
             np.concatenate([t[0] for t in blocks]),
@@ -845,17 +831,14 @@ def fraction_field_degree(
     j_blocks = -(-power_bound // p)  # ceil
     exponent = p * j_blocks
     point_seed = derive_seed("specialize", alg.signature(), seed)
-    terms = _CoordinateTerms([], alg.n)
-    index: dict = {}
-    monomials: list = []
+    terms = _CoordinateTerms(alg.n)
     psi_pow = [ue_one(alg)]
     for _ in range(exponent):
         psi_pow.append(psi_pow[-1] * psi)
     phi_pow = ue_one(alg)
     for d in range(power_bound + 1):
         v = phi_pow * psi_pow[exponent - d]
-        row = _term_arrays(_zp_terms(alg, v.terms).items(), index, monomials, alg.n)
-        terms.extend([row], monomials)
+        terms.extend([terms.row(_zp_terms(alg, v.terms).items())])
         if d >= 1 and _specialized_rank(terms, p, alg.n, "spec-field", seed, point_seed) < d + 1:
             return d
         phi_pow = phi_pow * phi
@@ -878,11 +861,11 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
     inseparable over Frac(B . A^p), so r is a power of p; a rank not
     dividing p^n raises ``SelfCheckFailure``.
 
-    Each table keeps every earlier product (k_j = 0), so its distinct
-    products and the reduced monomials they meet bound the final rank's
-    rows and columns from below: ``_check_spin_budget`` refuses an
-    over-budget input after the table that first exceeds it (at e = 1),
-    before the next one, p times larger, is formed.
+    Each table keeps every earlier product (k_j = 0) and 1 times each
+    power, so the distinct products and powers kept so far and the
+    reduced monomials they meet bound the final rank's rows and columns
+    from below: ``_check_spin_budget`` (at e = 1) checks that bound as
+    each one is kept, and refuses an over-budget input at once.
 
     The xi-exponents a // p of the coordinates are int64 in
     ``_CoordinateTerms``, and so is their sum.  The product of every
@@ -903,27 +886,33 @@ def rank_over_frobenius_subring(num_vars: int, b_generators, p: int, seed: int =
     one = SymPoly.one(field, num_vars)
     products = {frozenset(one.terms.items()): one}
     columns = {(0,) * num_vars}
+
+    def keep(table: dict, c: SymPoly):
+        key = frozenset(c.terms.items())
+        if key not in table:
+            table[key] = c
+            columns.update(tuple(a % p for a in m) for m in c.terms)
+            _check_spin_budget(0, max(len(products), len(table)), len(columns))
+
     for g in gens:
-        powers = [one]
+        powers: dict = {}
+        keep(powers, one)
+        power = one
         for _ in range(p - 1):
-            powers.append(powers[-1] * g)
-        grown = {
-            frozenset(c.terms.items()): c
-            for c in (a * b for a in products.values() for b in powers)
-        }
-        for key in grown.keys() - products.keys():
-            columns.update(tuple(a % p for a in exps) for exps, _ in key)
+            power = power * g
+            keep(powers, power)
+        grown: dict = {}
+        for a in products.values():
+            for b in powers.values():
+                keep(grown, a * b)
         products = grown
-        _check_spin_budget(0, len(products), len(columns))
-    ring = ModularLieAlgebra(
-        "A", [f"x{i}" for i in range(1, num_vars + 1)], p, {},
-        restricted=RestrictedStructure(rows=((0,) * num_vars,) * num_vars),
-    )
-    maps = [zp_coordinates(UEElement._reduced(ring, f.terms), ring).coordinates
-            for f in products.values()]
+    terms = _CoordinateTerms(num_vars)
+    terms.extend([
+        terms.row(((tuple(a % p for a in m), tuple(a // p for a in m)), c) for m, c in f.terms.items())
+        for f in products.values()
+    ])
     r = _specialized_rank(
-        _CoordinateTerms(maps, num_vars), p, num_vars,
-        "frob-field", seed, derive_seed("frob-points", p, num_vars, seed),
+        terms, p, num_vars, "frob-field", seed, derive_seed("frob-points", p, num_vars, seed),
     )
     total = p**num_vars
     if total % r != 0:

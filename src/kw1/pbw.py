@@ -468,56 +468,21 @@ class SymPoly:
         )
 
 
-def sym_from_element(a: UEElement) -> SymPoly:
-    """Forget the ordering: read a PBW element as a commutative polynomial."""
-    return SymPoly._reduced(a.ctx.field, a.ctx.n, dict(a.terms))
-
-
-def ad_action_sym(ctx, i, f: SymPoly) -> SymPoly:
-    """Adjoint action of x_i on Sym(g), extended as a derivation."""
-    out = {}
-    get = out.get
-    for m, c in f.terms.items():
-        for j, a in enumerate(m):
-            if a == 0:
-                continue
-            lowered = tuple(x - (1 if k == j else 0) for k, x in enumerate(m))
-            for l, d in ctx.bracket(i, j).items():
-                m2 = tuple(x + (1 if k == l else 0) for k, x in enumerate(lowered))
-                out[m2] = get(m2, 0) + c * d * a
-    return f._with(out)
-
-
-def semi_invariant_weight(a, alg=None):
+def semi_invariant_weight(a: UEElement):
     """The weight vector of a semi-invariant, or None.
 
-    For an enveloping element, checks [x_i, a] = lambda_i a exactly for
-    every basis element and returns the tuple of weights when all hold.
-    For a commutative polynomial the derivation action on Sym(g) is
-    used; ``alg`` must then be supplied.
+    Checks [x_i, a] = lambda_i a exactly for every basis element and
+    returns the tuple of weights when all hold.
     """
-    if isinstance(a, UEElement):
-        ctx = a.ctx
-        if a.is_zero():
-            raise ZeroElement("weight of the zero element is undefined")
-
-        def act(i):
-            return pbw_bracket(ue_gen(ctx, i), a)
-    else:
-        if alg is None:
-            raise ValueError("polynomial input needs the algebra")
-        ctx = alg
-        if a.is_zero():
-            raise ZeroElement("weight of the zero polynomial is undefined")
-
-        def act(i):
-            return ad_action_sym(alg, i, a)
+    ctx = a.ctx
+    if a.is_zero():
+        raise ZeroElement("weight of the zero element is undefined")
     field = ctx.field
     ref = max(a.terms, key=deglex_key)
     ref_coeff = a.terms[ref]
     weights = []
     for i in range(ctx.n):
-        b = act(i)
+        b = pbw_bracket(ue_gen(ctx, i), a)
         if b.is_zero():
             weights.append(field.scalar(0))
             continue

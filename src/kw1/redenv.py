@@ -4,9 +4,10 @@ Reduced enveloping algebras u_chi(g) have dimension p^n, with basis the
 reduced PBW monomials.  u_chi = U(g) (x)_{Z_p} F is the fibre of U(g)
 at the point xi = chi^p of Spec Z_p, so it is the verdict's
 specialization at that point: the zp coordinates of each x_i x^m
-(straighten, then rewrite x_i^p as xi_i + x_i^[p]) are gathered once
-per algebra, independent of chi, and one ``_CoordinateTerms.values``
-call at xi_i = chi_i^p gives every generator's matrix.  Splitting the
+(straighten, then rewrite x_i^p as xi_i + x_i^[p], ``center._zp_terms``)
+are gathered once per algebra as the rows of one ``_CoordinateTerms``,
+independent of chi, and one ``values`` call at xi_i = chi_i^p gives
+every generator's matrix.  Splitting the
 left regular representation into composition factors bounds the
 largest simple dimension from below, and for generic chi attains it.
 
@@ -110,12 +111,12 @@ from math import gcd
 
 import numpy as np
 
-from .center import INDEX_TRIALS, _CoordinateTerms, zp_coordinates
+from .center import INDEX_TRIALS, _CoordinateTerms, _zp_terms
 from .errors import CoefficientFieldMismatch, DimensionCap, SelfCheckFailure, SplitBudgetExceeded
 from .fields import GF, field_of, galois_field, prime_field
 from .liealg import ModularLieAlgebra, index_generic
 from .matops import ops_for
-from .pbw import UEElement, _mono_times_mono, render_scalar
+from .pbw import _mono_times_mono, render_scalar
 from .util import deglex_key, derive_seed
 
 MAX_SPLIT_TRIES = 40
@@ -149,20 +150,21 @@ def _left_action_terms(alg: ModularLieAlgebra) -> _CoordinateTerms:
     """chi-independent zp coordinates of every x_i . x^m, gathered once per algebra.
 
     m runs over the reduced monomials (every exponent below p) in deglex
-    order, the basis of u_chi.  Row i p^n + k is x_i . x^m for m the k-th
-    of them, and column k is that monomial too, so a specialization needs
-    no reordering.
+    order, the basis of u_chi.  Row i p^n + k is ``_zp_terms`` of the
+    straightened x_i . x^m for m the k-th of them, and column k is that
+    monomial too, so a specialization needs no reordering.
     """
     terms = alg._pbw_memo.get("redenv-left")
     if terms is None:
         monomials = sorted(product(range(alg.p), repeat=alg.n), key=deglex_key)
-        maps = []
-        for i in range(alg.n):
-            gen_mono = tuple(1 if k == i else 0 for k in range(alg.n))
-            for mono in monomials:
-                elem = UEElement._reduced(alg, _mono_times_mono(alg, gen_mono, mono))
-                maps.append(zp_coordinates(elem, alg).coordinates)
-        terms = alg._pbw_memo["redenv-left"] = _CoordinateTerms(maps, alg.n, columns=monomials)
+        terms = _CoordinateTerms(alg.n, columns=monomials)
+        letters = [tuple(int(k == i) for k in range(alg.n)) for i in range(alg.n)]
+        terms.extend([
+            terms.row(_zp_terms(alg, _mono_times_mono(alg, letter, mono)).items())
+            for letter in letters
+            for mono in monomials
+        ])
+        alg._pbw_memo["redenv-left"] = terms
     return terms
 
 

@@ -153,10 +153,10 @@ def test_coordinate_product_is_zp_of_the_product(data):
         for _ in range(2)
     )
     rows = center._SpinRows(alg, [b])
-    pairs = center._zp_terms(alg, a.terms).items()
-    rows.rows[0] = center._term_arrays(pairs, rows._index, rows.monomials, alg.n)
-    cols, exps, coef = rows.times(0, 0)
-    got = {(rows.monomials[c], tuple(x)): v for c, x, v in zip(cols.tolist(), exps.tolist(), coef.tolist())}
+    terms = rows.terms
+    terms.extend([terms.row(center._zp_terms(alg, a.terms).items())])
+    nums, exps, coef = rows.times(1, 0)
+    got = {(terms.monomials[k], tuple(x)): v for k, x, v in zip(nums.tolist(), exps.tolist(), coef.tolist())}
     want = zp_coordinates(a * b, alg).coordinates
     assert got == {(m, xi): c for m, poly in want.items() for xi, c in poly.terms.items()}
 
@@ -271,6 +271,36 @@ def test_frobenius_rank_of_monomials_closed_form(data):
     gens = [{m: c} for m, c in zip(rows, coeffs)]
     span = linalg.rank(np.array(rows, dtype=np.int64).reshape(len(rows), n, 1), prime_field(p))
     assert rank_over_frobenius_subring(n, gens, p, seed=0) == p ** (n - span)
+
+
+@pytest.mark.parametrize(
+    "num_vars, gens, p, cap, multiplications, nbytes",
+    [
+        # refused once x^0 .. x^93 are kept: 94 products over 94 reduced
+        # monomials pass the cap, long before all 1008 powers are formed
+        (1, [{(1,): 1}], 1009, 1 << 19, 93, 8 * 94 * (2 * 94 + 8 * 64)),
+        # both power tables pass; the 133rd product of the second table meets
+        # a 159th reduced monomial, before all 961 products are formed
+        (2, [{(1, 0): 1}, {(0, 1): 1}], 31, 1 << 20, 224, 8 * 159 * (2 * 159 + 8 * 64)),
+    ],
+)
+def test_frobenius_budget_is_checked_as_the_tables_grow(
+    monkeypatch, num_vars, gens, p, cap, multiplications, nbytes
+):
+    from kw1.errors import DegreeBoundTooLargeForMemory
+
+    monkeypatch.setattr(center, "MATRIX_BYTES_CAP", cap)
+    formed = []
+    real_mul = SymPoly.__mul__
+
+    def mul(a, b):
+        formed.append(1)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(SymPoly, "__mul__", mul)
+    with pytest.raises(DegreeBoundTooLargeForMemory, match="bytes of specialized rank matrices") as info:
+        rank_over_frobenius_subring(num_vars, gens, p, seed=0)
+    assert (len(formed), info.value.count) == (multiplications, nbytes)
 
 
 def test_frobenius_rank_nonmonomial():
@@ -470,7 +500,11 @@ def test_gathered_rows_match_evaluate(e):
                 row[col] = SymPoly(base, n, terms)
             maps.append(row)
         maps.append({cols[0]: SymPoly.one(base, n)})
-        terms = center._CoordinateTerms(maps, n)
+        terms = center._CoordinateTerms(n)
+        terms.extend([
+            terms.row(((m, xi), a) for m, poly in row.items() for xi, a in poly.terms.items())
+            for row in maps
+        ])
         for _ in range(3):
             point = [field.random_nonzero(rng) for _ in range(n)]
             got = terms.values(point, field)
@@ -530,6 +564,33 @@ def test_spin_straightens_only_reduced_monomials_once(make_algebra, monkeypatch,
     assert formed and len(formed) == len(set(formed)), name
     assert tabled and len(tabled) == len(set(tabled)), name
     assert lefts and all(a < p for left in lefts for a in left), name
+
+
+@pytest.mark.parametrize("name,p,numbered,columns", [("sl2", 5, 25, 19), ("gl2", 5, 122, 112)])
+def test_spin_columns_are_the_monomials_its_rows_meet(make_algebra, monkeypatch, name, p, numbered, columns):
+    """A column is a reduced monomial with a nonzero coefficient in some
+    gathered row, numbered in the order the rows first meet it; one met
+    only in the table T, cancelled in every product, is numbered but has
+    no column."""
+    alg = make_algebra(name, p)
+    bound = 3 if name == "gl2" else center.default_degree_bound(alg)
+    elements = center._center_space(alg, bound)
+    spun, real = [], center._SpinRows
+
+    def made(alg, gens):
+        spun.append(real(alg, gens))
+        return spun[-1]
+
+    monkeypatch.setattr(center, "_SpinRows", made)
+    center._spin_ranks(alg, [el for el in elements if el.degree < bound],
+                       [el for el in elements if el.degree == bound], p ** index_generic(alg, 3, 0), 0)
+    terms = spun[0].terms
+    met = {}
+    for nums, _, coef in terms.rows:
+        assert coef.all()
+        met.update((terms.monomials[k], None) for k in nums.tolist())
+    assert terms.columns == list(met)
+    assert (len(terms.monomials), len(terms.columns)) == (numbered, columns)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11])

@@ -15,7 +15,6 @@ from kw1.pbw import (
     pbw_multiply,
     principal_symbol,
     semi_invariant_weight,
-    sym_from_element,
     symmetrize,
     ue_gen,
     ue_monomial,
@@ -139,13 +138,6 @@ def test_semi_invariant_weights(make_algebra):
     assert semi_invariant_weight(xm) == semi_invariant_weight(yn)
     # h is not semi-invariant
     assert semi_invariant_weight(ue_gen(alg, 0)) is None
-
-
-def test_semi_invariant_weight_sym_input(make_algebra):
-    alg = make_algebra("remark:1:1", 3)
-    f = SymPoly.monomial(alg.field, 3, (0, 1, 0))
-    w = semi_invariant_weight(f, alg)
-    assert w is not None and [int(c) for c in w] == [1, 0, 0]
 
 
 def test_render_canonical(make_algebra):

@@ -16,12 +16,12 @@ from kw1.center import (
 from kw1.cli import _prepare
 from kw1.liealg import index_generic
 from kw1.pbw import (
+    SymPoly,
     UEElement,
     pbw_bracket,
     pbw_multiply,
     principal_symbol,
     semi_invariant_weight,
-    sym_from_element,
     symmetrize,
     ue_gen,
     ue_one,
@@ -104,9 +104,7 @@ def test_symmetrization_section_100_trials():
         mono = [0] * alg.n
         for _ in range(degree):
             mono[rng.randrange(alg.n)] += 1
-        f = sym_from_element(
-            UEElement(alg, {tuple(mono): alg.field.from_int(rng.randrange(1, 7))})
-        )
+        f = SymPoly.monomial(alg.field, alg.n, tuple(mono), rng.randrange(1, 7))
         sym = symmetrize(f, alg)
         assert principal_symbol(sym) == f
         cases += 1

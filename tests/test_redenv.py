@@ -353,13 +353,13 @@ def test_left_actions_are_straightened_once_per_algebra(make_algebra, monkeypatc
     # the zp coordinates of the n p^n products x_i . x^m are gathered once
     # per algebra, however many characters and fields the oracle samples
     calls = []
-    real = redenv.zp_coordinates
+    real = redenv._zp_terms
 
-    def counted(elem, alg):
-        calls.append(elem)
-        return real(elem, alg)
+    def counted(alg, terms):
+        calls.append(terms)
+        return real(alg, terms)
 
-    monkeypatch.setattr(redenv, "zp_coordinates", counted)
+    monkeypatch.setattr(redenv, "_zp_terms", counted)
     for samples in (2, 10):
         calls.clear()
         alg = make_algebra("sl2", 3)
